@@ -6,20 +6,19 @@ variable Koszul complex applied to the middle homology module H1 realized by
 kernel bases of the phi maps.  The two routes are kept separate on purpose;
 their pointwise relation is reported, not reconciled.
 
-Quotient strands are cached per system as echelon data: pivot monomials
+Both routes read the per-system strand store of strands, which owns every
+elimination.  Quotient strands come from its echelon records: pivot monomials
 reduce to minus a tail over the quotient basis monomials, so multiplication
-by a variable is a row lookup, not a solve.  Likewise H1 strands exploit the
-identity pattern of echelonized kernel bases: coordinates of a kernel vector
-are its entries at the free columns.
+by a variable is a row lookup, not a solve.  H1 strands come from its phi
+kernel records and exploit the identity pattern of echelonized kernel bases:
+coordinates of a kernel vector are its entries at the free columns.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -27,69 +26,32 @@ from .exactcore import (ExactMatrix, kernel_data, mat_hstack, mat_mul,
                         mat_rank, mat_select_rows, mat_vstack, rref)
 from .bipoly import (BiPoly, BinaryForm, binary_from_bipoly, gcd_binary,
                      mul_matrix, split_st, strand_dim)
-from .strands import InverseStrandBasis, _v1_block, _v2_block, hf_quotient
+from .strands import (_mat_neg, _phi_kernels, _quotient_echelon, _v1_block,
+                      _v2_block, hf_quotient)
 
 VAR_NAMES = ("s", "t", "u", "v")
 VAR_DEGREES = ((1, 0), (1, 0), (0, 1), (0, 1))
 
 
-def _mat_neg(m):
-    f = m.field
-    if f.is_prime_field:
-        return ExactMatrix(f, m.rows, m.cols, (-m.data) % f.p)
-    return ExactMatrix(f, m.rows, m.cols, [[-x for x in row] for row in m.data])
-
-
-# ----------------------------------------------------------- quotient strands
+# ---------------------------------------------------------- strand providers
 
 class _QuotientStrands:
-    """Echelonized strands of R/I with O(1) variable action columns."""
+    """Strands of R/I, read from the echelon records of the strand store."""
 
     def __init__(self, sys):
         self.sys = sys
         self.field = sys.field
-        self._data = {}
-
-    def data(self, b):
-        b = tuple(b)
-        if b in self._data:
-            return self._data[b]
-        n = strand_dim(b)
-        if n == 0:
-            rec = ((), np.full(1, -1), np.full(1, -1), None)
-            self._data[b] = rec
-            return rec
-        src = (b[0] - self.sys.d[0], b[1] - self.sys.d[1])
-        if strand_dim(src) == 0:
-            piv, free = (), tuple(range(n))
-            tail = ExactMatrix.zeros(self.field, 0, n)
-        else:
-            gens = mat_hstack(self.field,
-                              [mul_matrix(f, src).matrix for f in self.sys.polys])
-            tail, piv = rref(gens.transpose())
-            free = tuple(c for c in range(n) if c not in set(piv))
-        free_pos = np.full(n, -1, dtype=np.int64)
-        piv_pos = np.full(n, -1, dtype=np.int64)
-        for k, c in enumerate(free):
-            free_pos[c] = k
-        for k, c in enumerate(piv):
-            piv_pos[c] = k
-        tail_free = mat_select_rows(tail.transpose(), list(free)).transpose() \
-            if len(piv) else ExactMatrix.zeros(self.field, 0, len(free))
-        rec = (free, free_pos, piv_pos, tail_free)
-        self._data[b] = rec
-        return rec
 
     def dim(self, b):
-        return len(self.data(b)[0])
+        return len(_quotient_echelon(self.sys, b)[0])
 
     def action(self, xi, b):
         """Multiplication by variable xi: quotient strand b -> b + deg(xi)."""
         b = tuple(b)
         dx = VAR_DEGREES[xi]
         bt = (b[0] + dx[0], b[1] + dx[1])
-        free_src = self.data(b)[0]
-        free_tgt, fpos, ppos, tail = self.data(bt)
+        free_src = _quotient_echelon(self.sys, b)[0]
+        free_tgt, fpos, ppos, tail = _quotient_echelon(self.sys, bt)
         f = self.field
         out = ExactMatrix.zeros(f, len(free_tgt), len(free_src))
         if not free_src or strand_dim(bt) == 0:
@@ -122,31 +84,15 @@ class _QuotientStrands:
 
 
 class _H1Strands:
-    """Strands of the middle homology module via echelonized kernel bases."""
+    """Strands of the middle homology module, read from the phi kernel
+    records of the strand store."""
 
     def __init__(self, sys):
         self.sys = sys
         self.field = sys.field
-        self._data = {}
-
-    def _bases(self, b):
-        d1, d2 = self.sys.d
-        src1 = InverseStrandBasis(b[0] - 3 * d1, 3 * d2 - b[1] - 2)
-        src2 = InverseStrandBasis(3 * d1 - b[0] - 2, b[1] - 3 * d2, flipped=True)
-        return src1, src2
-
-    def data(self, b):
-        b = tuple(b)
-        if b not in self._data:
-            src1, src2 = self._bases(b)
-            m1 = mat_vstack(self.field, [_v1_block(f, src1) for f in self.sys.polys])
-            m2 = mat_vstack(self.field, [_v2_block(f, src2) for f in self.sys.polys])
-            self._data[b] = kernel_data(m1) + kernel_data(m2)
-        return self._data[b]
 
     def dim(self, b):
-        k1, _, k2, _ = self.data(b)
-        return k1.cols + k2.cols
+        return sum(k.nullity for k in _phi_kernels(self.sys, b))
 
     def action(self, xi, b):
         """Variable action on kernel coordinates, block diagonal over V1/V2."""
@@ -154,33 +100,17 @@ class _H1Strands:
         dx = VAR_DEGREES[xi]
         bt = (b[0] + dx[0], b[1] + dx[1])
         x = BiPoly.variable(self.field, VAR_NAMES[xi])
-        k1, _, k2, _ = self.data(b)
-        k1t, free1t, k2t, free2t = self.data(bt)
-        src1, src2 = self._bases(b)
-        c1 = mat_select_rows(mat_mul(_v1_block(x, src1), k1), list(free1t)) \
+        p1, p2 = _phi_kernels(self.sys, b)
+        p1t, p2t = _phi_kernels(self.sys, bt)
+        k1, k2, k1t, k2t = p1.kernel, p2.kernel, p1t.kernel, p2t.kernel
+        c1 = mat_select_rows(mat_mul(_v1_block(x, p1.src), k1), list(p1t.free)) \
             if k1.cols and k1t.cols else ExactMatrix.zeros(self.field, k1t.cols, k1.cols)
-        c2 = mat_select_rows(mat_mul(_v2_block(x, src2), k2), list(free2t)) \
+        c2 = mat_select_rows(mat_mul(_v2_block(x, p2.src), k2), list(p2t.free)) \
             if k2.cols and k2t.cols else ExactMatrix.zeros(self.field, k2t.cols, k2.cols)
         z12 = ExactMatrix.zeros(self.field, k1t.cols, k2.cols)
         z21 = ExactMatrix.zeros(self.field, k2t.cols, k1.cols)
         return mat_vstack(self.field, [mat_hstack(self.field, [c1, z12]),
                                        mat_hstack(self.field, [c2, z21])])
-
-
-_quotient_cache = WeakKeyDictionary()
-_h1_cache = WeakKeyDictionary()
-
-
-def _quotient_strands(sys):
-    if sys not in _quotient_cache:
-        _quotient_cache[sys] = _QuotientStrands(sys)
-    return _quotient_cache[sys]
-
-
-def _h1_strands(sys):
-    if sys not in _h1_cache:
-        _h1_cache[sys] = _H1Strands(sys)
-    return _h1_cache[sys]
 
 
 def _koszul_module_homology(provider, a):
@@ -274,20 +204,10 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
             raise ValueError("need box or degrees")
         degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]
     degrees = sorted(set(map(tuple, degrees)))
-    qs = _quotient_strands(sys)
-    nthreads = int(os.environ.get("BIGRES_THREADS", "1"))
-    if nthreads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        prefetch = sorted({(a1 - s1, a2 - s2) for a1, a2 in degrees
-                           for s1 in (0, 1, 2) for s2 in (0, 1, 2)})
-        with ThreadPoolExecutor(nthreads) as pool:
-            list(pool.map(qs.data, prefetch))
-            homs = list(pool.map(lambda a: _koszul_module_homology(qs, a), degrees))
-    else:
-        homs = [_koszul_module_homology(qs, a) for a in degrees]
+    qs = _QuotientStrands(sys)
     entries = {}
-    for a, hom in zip(degrees, homs):
-        for j, dim in enumerate(hom):
+    for a in degrees:
+        for j, dim in enumerate(_koszul_module_homology(qs, a)):
             if dim:
                 entries[(j, a)] = dim
     if convention == "IdealConvention":
@@ -318,7 +238,7 @@ def mcomplex_dims(sys, a):
     The tail must vanish; nonzero H(M)_3 or H(M)_4 signals a broken kernel
     model and raises.
     """
-    hom = _koszul_module_homology(_h1_strands(sys), tuple(a))
+    hom = _koszul_module_homology(_H1Strands(sys), tuple(a))
     if hom[3] or hom[4]:
         raise ArithmeticError(f"M-complex tail homology nonzero at {a}: {hom}")
     return hom

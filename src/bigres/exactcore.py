@@ -461,11 +461,8 @@ def kernel_data(m):
     free = tuple(c for c in range(n) if c not in set(piv))
     k = ExactMatrix.zeros(f, n, len(free))
     if f.is_prime_field:
-        Rd = R.data
-        for idx, fc in enumerate(free):
-            k.data[fc, idx] = 1
-            for i, pc in enumerate(piv):
-                k.data[pc, idx] = (-Rd[i, fc]) % f.p
+        k.data[list(free), np.arange(len(free))] = 1
+        k.data[list(piv), :] = (-R.data[:len(piv), list(free)]) % f.p
     else:
         for idx, fc in enumerate(free):
             k.data[fc][idx] = Fraction(1)

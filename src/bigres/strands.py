@@ -6,8 +6,11 @@ polynomial/inverse-power space to three stacked copies of a smaller one.
 Inverse powers 1/(u^(i+1) v^(j+1)) multiply by contraction, truncating to
 zero whenever an exponent would leave the allowed range.
 
-Everything here is a pure function of (system, bidegree); ranks are memoized
-per system because the same strands recur across h1/hf/genericity sweeps.
+Everything here is a pure function of (system, bidegree).  One per-system
+store owns every elimination: the generator strand [f0 f1 f2], the phi pair
+and the higher Koszul maps at a degree are each built and eliminated once per
+system, and hf_quotient, h1_dim, koszul_strand_homology, is_generic and the
+Betti strand providers in betti all read the same records.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .exactcore import ExactMatrix, mat_hstack, mat_rank, mat_vstack
+from .exactcore import (ExactMatrix, kernel_data, mat_hstack, mat_rank,
+                        mat_select_rows, mat_vstack, rref)
 from .bipoly import StrandMap, mul_matrix, strand_dim
 from .combinat import chi, nd
 
@@ -116,6 +120,14 @@ def _v2_block(f, src: InverseStrandBasis):
     return m
 
 
+def _phi_sources(d, a):
+    """Source bases of phi1 and phi2 at bidegree a."""
+    d1, d2 = d
+    a1, a2 = a
+    return (InverseStrandBasis(a1 - 3 * d1, 3 * d2 - a2 - 2),
+            InverseStrandBasis(3 * d1 - a1 - 2, a2 - 3 * d2, flipped=True))
+
+
 def phi_matrices(sys, a):
     """(phi1, phi2) at bidegree a: three stacked multiplication blocks each.
 
@@ -125,9 +137,8 @@ def phi_matrices(sys, a):
     """
     d1, d2 = sys.d
     a1, a2 = a
-    src1 = InverseStrandBasis(a1 - 3 * d1, 3 * d2 - a2 - 2)
+    src1, src2 = _phi_sources(sys.d, a)
     tgt1 = InverseStrandBasis(a1 - 2 * d1, 2 * d2 - a2 - 2)
-    src2 = InverseStrandBasis(3 * d1 - a1 - 2, a2 - 3 * d2, flipped=True)
     tgt2 = InverseStrandBasis(2 * d1 - a1 - 2, a2 - 2 * d2, flipped=True)
     m1 = mat_vstack(sys.field, [_v1_block(f, src1) for f in sys.polys])
     m2 = mat_vstack(sys.field, [_v2_block(f, src2) for f in sys.polys])
@@ -136,50 +147,99 @@ def phi_matrices(sys, a):
     return phi1, phi2
 
 
-_rank_cache = WeakKeyDictionary()
+def _mat_neg(m):
+    f = m.field
+    if f.is_prime_field:
+        return ExactMatrix(f, m.rows, m.cols, (-m.data) % f.p)
+    return ExactMatrix(f, m.rows, m.cols, [[-x for x in row] for row in m.data])
 
 
-def _phi_ranks(sys, a):
-    """Per-system memo of (rows, cols, rank) for phi1 and phi2 at a."""
-    cache = _rank_cache.setdefault(sys, {})
-    key = ("phi", a)
-    if key not in cache:
-        phi1, phi2 = phi_matrices(sys, a)
-        cache[key] = ((phi1.rows, phi1.cols, mat_rank(phi1.matrix)),
-                      (phi2.rows, phi2.cols, mat_rank(phi2.matrix)))
-    return cache[key]
+# ------------------------------------------------------------- strand store
+
+_store = WeakKeyDictionary()
 
 
-def h1_dim(sys, a):
-    """dim of the middle Koszul homology strand: ker(phi1) + ker(phi2)."""
-    (_, c1, r1), (_, c2, r2) = _phi_ranks(sys, tuple(a))
-    return (c1 - r1) + (c2 - r2)
+def _per_system(build):
+    """Memoize build(sys, a) in the store of sys: one record per degree.
+
+    Records must hold no reference to sys; the weak key alone then decides
+    when a system and its records are freed.
+    """
+    def record(sys, a):
+        a = tuple(a)
+        recs = _store.setdefault(sys, {})
+        key = (build.__name__, a)
+        if key not in recs:
+            recs[key] = build(sys, a)
+        return recs[key]
+    return record
 
 
-def hf_quotient(sys, a):
-    """Hilbert function of R/I at a: dim R_a minus rank of [f0 f1 f2]."""
-    a = tuple(a)
-    a1, a2 = a
-    if a1 < 0 or a2 < 0:
-        return 0
-    cache = _rank_cache.setdefault(sys, {})
-    key = ("hf", a)
-    if key not in cache:
-        b = (a1 - sys.d[0], a2 - sys.d[1])
-        if strand_dim(b) == 0:
-            cache[key] = strand_dim(a)
-        else:
-            stacked = mat_hstack(sys.field,
-                                 [mul_matrix(f, b).matrix for f in sys.polys])
-            cache[key] = strand_dim(a) - mat_rank(stacked)
-    return cache[key]
+@_per_system
+def _quotient_echelon(sys, b):
+    """(free, free_pos, piv_pos, tail_free) of the quotient strand (R/I)_b.
+
+    The transpose of [f0 f1 f2] into R_b is echelonized: pivot monomials
+    reduce to minus a tail over the free (quotient basis) monomials, so
+    multiplication by a variable is a row lookup, not a solve.  free_pos and
+    piv_pos map a monomial index to its position among free or pivot
+    monomials, -1 elsewhere.
+    """
+    fld = sys.field
+    n = strand_dim(b)
+    if n == 0:
+        return (), np.full(1, -1), np.full(1, -1), None
+    src = (b[0] - sys.d[0], b[1] - sys.d[1])
+    if strand_dim(src) == 0:
+        piv, free = (), tuple(range(n))
+        tail = ExactMatrix.zeros(fld, 0, n)
+    else:
+        gens = mat_hstack(fld, [mul_matrix(f, src).matrix for f in sys.polys])
+        tail, piv = rref(gens.transpose())
+        free = tuple(c for c in range(n) if c not in set(piv))
+    free_pos = np.full(n, -1, dtype=np.int64)
+    piv_pos = np.full(n, -1, dtype=np.int64)
+    free_pos[list(free)] = np.arange(len(free))
+    piv_pos[list(piv)] = np.arange(len(piv))
+    tail_free = mat_select_rows(tail.transpose(), list(free)).transpose() \
+        if len(piv) else ExactMatrix.zeros(fld, 0, len(free))
+    return free, free_pos, piv_pos, tail_free
+
+
+@dataclass(frozen=True)
+class _PhiKernel:
+    """One phi map at one degree: its source basis, the kernel_data of its
+    matrix (kernel basis columns and free columns) and its row count."""
+
+    src: InverseStrandBasis
+    kernel: ExactMatrix
+    free: tuple
+    rows: int
+
+    @property
+    def nullity(self):
+        return self.kernel.cols
+
+    @property
+    def full_rank(self):
+        cols = self.src.dim
+        return cols - self.nullity == min(self.rows, cols)
+
+
+@_per_system
+def _phi_kernels(sys, a):
+    """(_PhiKernel of phi1, _PhiKernel of phi2) at a."""
+    return tuple(_PhiKernel(src, *kernel_data(phi.matrix), phi.rows)
+                 for src, phi in zip(_phi_sources(sys.d, a), phi_matrices(sys, a)))
 
 
 def _koszul_strands(sys, a):
-    """Strand matrices (delta1, delta2, delta3) of the length-3 Koszul complex.
+    """Strand matrices (delta2, delta3) of the length-3 Koszul complex.
 
     Exterior basis order e01, e02, e12 in the middle; signs follow
-    delta2 = [[f1, f2, 0], [-f0, 0, f2], [0, -f0, -f1]], delta3 = (-f2, f1, -f0).
+    delta1 = [f0 f1 f2], delta2 = [[f1, f2, 0], [-f0, 0, f2], [0, -f0, -f1]],
+    delta3 = (-f2, f1, -f0).  delta1 is the generator strand that
+    _quotient_echelon eliminates, so it is not built here.
     """
     fld = sys.field
     d1, d2 = sys.d
@@ -192,39 +252,48 @@ def _koszul_strands(sys, a):
         return mul_matrix(g, b).matrix
 
     def zmat(b, target):
-        return ExactMatrix.zeros(fld, strand_dim(target), max(strand_dim(b), 0))
+        return ExactMatrix.zeros(fld, strand_dim(target), strand_dim(b))
 
     b1 = (a1 - d1, a2 - d2)
     b2 = (a1 - 2 * d1, a2 - 2 * d2)
     b3 = (a1 - 3 * d1, a2 - 3 * d2)
-    delta1 = mat_hstack(fld, [mmat(f, b1, a) for f in (f0, f1, f2)])
-    neg = lambda m: ExactMatrix(fld, m.rows, m.cols,
-                                (-m.data) % fld.p if fld.is_prime_field
-                                else [[-x for x in row] for row in m.data])
     delta2 = mat_vstack(fld, [
         mat_hstack(fld, [mmat(f1, b2, b1), mmat(f2, b2, b1), zmat(b2, b1)]),
-        mat_hstack(fld, [neg(mmat(f0, b2, b1)), zmat(b2, b1), mmat(f2, b2, b1)]),
-        mat_hstack(fld, [zmat(b2, b1), neg(mmat(f0, b2, b1)), neg(mmat(f1, b2, b1))]),
+        mat_hstack(fld, [_mat_neg(mmat(f0, b2, b1)), zmat(b2, b1), mmat(f2, b2, b1)]),
+        mat_hstack(fld, [zmat(b2, b1), _mat_neg(mmat(f0, b2, b1)),
+                         _mat_neg(mmat(f1, b2, b1))]),
     ])
-    delta3 = mat_vstack(fld, [neg(mmat(f2, b3, b2)), mmat(f1, b3, b2),
-                              neg(mmat(f0, b3, b2))])
-    return delta1, delta2, delta3
+    delta3 = mat_vstack(fld, [_mat_neg(mmat(f2, b3, b2)), mmat(f1, b3, b2),
+                              _mat_neg(mmat(f0, b3, b2))])
+    return delta2, delta3
+
+
+@_per_system
+def _koszul_ranks(sys, a):
+    """(rank delta2, rank delta3) at a."""
+    return tuple(mat_rank(m) for m in _koszul_strands(sys, a))
+
+
+def h1_dim(sys, a):
+    """dim of the middle Koszul homology strand: ker(phi1) + ker(phi2)."""
+    return sum(k.nullity for k in _phi_kernels(sys, a))
+
+
+def hf_quotient(sys, a):
+    """Hilbert function of R/I at a: dim R_a minus rank of [f0 f1 f2]."""
+    return len(_quotient_echelon(sys, a)[0])
 
 
 def koszul_strand_homology(sys, a, i):
     """dim H_i of the degree-a strand of the Koszul complex, i in 0..3."""
     if i not in (0, 1, 2, 3):
         raise ValueError("homological index must be 0..3")
-    a = tuple(a)
-    cache = _rank_cache.setdefault(sys, {})
-    key = ("koszul", a)
-    if key not in cache:
-        d1_, d2_, d3_ = _koszul_strands(sys, a)
-        dims = (strand_dim(a), d1_.cols, d2_.cols, d3_.cols)
-        ranks = (mat_rank(d1_), mat_rank(d2_), mat_rank(d3_))
-        cache[key] = (dims, ranks)
-    dims, ranks = cache[key]
-    rk = (0,) + ranks + (0,)
+    d1, d2 = sys.d
+    a1, a2 = a
+    dims = (strand_dim(a), 3 * strand_dim((a1 - d1, a2 - d2)),
+            3 * strand_dim((a1 - 2 * d1, a2 - 2 * d2)),
+            strand_dim((a1 - 3 * d1, a2 - 3 * d2)))
+    rk = (0, dims[0] - hf_quotient(sys, a)) + _koszul_ranks(sys, a) + (0,)
     return dims[i] - rk[i] - rk[i + 1]
 
 
@@ -265,8 +334,7 @@ def is_generic(sys, box=None):
         raise ValueError(f"box too small: need at least ({3 * d1 + 1},{3 * d2 + 1})")
     for a1 in range(box[0] + 1):
         for a2 in range(box[1] + 1):
-            (n1, c1, r1), (n2, c2, r2) = _phi_ranks(sys, (a1, a2))
-            if r1 != min(n1, c1) or r2 != min(n2, c2):
+            if not all(k.full_rank for k in _phi_kernels(sys, (a1, a2))):
                 return GenericityVerdict(False, tuple(box), (a1, a2))
     return GenericityVerdict(True, tuple(box), None)
 

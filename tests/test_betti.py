@@ -1,18 +1,21 @@
 """Betti tables, syzygy constructors, Hilbert-Burch kernels, resolution checks."""
 
 import copy
+import gc
 import random
+import weakref
 
 import pytest
 
-from bigres.exactcore import GF
-from bigres.bipoly import BinaryForm, BiPoly, SystemF, split_st
+from bigres.exactcore import GF, QQ
+from bigres.bipoly import BinaryForm, BiPoly, SystemF, split_st, strand_dim
 from bigres.betti import (BettiTable, HilbertBurchData, ResolutionComplex,
                           alicia_syzygy, betti_table, hb_kernel, koszul_syzygies,
                           mcomplex_dims, mcomplex_sums, nonkoszul_beta1,
                           poly_mat_is_zero, poly_mat_mul, prop32_matrices,
                           route_equality_report, syz3star, verify_resolution)
 from bigres.segre import conic_resolution, detect_conic
+from bigres.strands import h1_dim, hf_quotient, is_generic, koszul_strand_homology
 from bigres.cli import load_system
 from helpers import data_path, load_json, random_bpf_system, random_form
 
@@ -132,6 +135,40 @@ def test_mcomplex_tail_vanishes():
         for a2 in range(9):
             hom = mcomplex_dims(sys_, (a1, a2))
             assert len(hom) == 5 and hom[3] == 0 and hom[4] == 0
+
+
+def test_system_is_freed_after_strand_queries():
+    # the strand store is keyed weakly by the system and its records must not
+    # refer back to it, or no system would ever be freed
+    sys_ = random_bpf_system(FLD, (1, 2), random.Random(8))
+    hf_quotient(sys_, (3, 4))
+    h1_dim(sys_, (3, 2))
+    koszul_strand_homology(sys_, (3, 4), 1)
+    is_generic(sys_)
+    betti_table(sys_, box=(4, 6))
+    mcomplex_dims(sys_, (3, 2))
+    ref = weakref.ref(sys_)
+    del sys_
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("d", [(1, 1), (1, 2)])
+def test_rationals_and_prime_field_agree(d):
+    # small integer coefficients: ranks over Q and mod 32003 coincide unless
+    # 32003 divides a minor, which these draws avoid
+    rng = random.Random(40 + d[1])
+    vecs = [[rng.randint(-5, 5) for _ in range(strand_dim(d))] for _ in range(3)]
+    sq, sp = (SystemF(fld, d, [BiPoly.from_vector(fld, d, v) for v in vecs])
+              for fld in (QQ, GF(32003)))
+    box = (3 * d[0] + 2, 3 * d[1] + 2)
+    for a1 in range(box[0] + 1):
+        for a2 in range(box[1] + 1):
+            a = (a1, a2)
+            assert h1_dim(sq, a) == h1_dim(sp, a), a
+            assert hf_quotient(sq, a) == hf_quotient(sp, a), a
+    tq, tp = betti_table(sq, box=box), betti_table(sp, box=box)
+    assert (tq.entries, tq.warning) == (tp.entries, tp.warning)
 
 
 def test_route_equality_degree_by_degree():

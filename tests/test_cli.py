@@ -1,7 +1,9 @@
 import json
+import os
 import random
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
 from bigres.exactcore import GF, QQ
@@ -17,6 +19,9 @@ FLD = GF(32003)
 CONIC12 = data_path("sys_conic12.json")
 MAPS6 = data_path("sys_maps6.json")
 BP = data_path("sys_bp.json")
+
+
+SCHEMAS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "docs", "schemas")
 
 
 def _write_system(tmp_path, sys_, name="sys.json"):
@@ -44,6 +49,22 @@ def test_chi_grids(capsys):
         grid = [[fn((a1, a2)) for a2 in range(4)] for a1 in range(4)]
         expected += label + "\n" + render_grid(grid)
     assert out == expected
+
+
+@pytest.mark.parametrize("argv,schema", [
+    (["betti", CONIC12, "--box", "4,7", "--json"], "betti.schema.json"),
+    (["betti", MAPS6, "--box", "4,7", "--convention", "quotient", "--json"],
+     "betti.schema.json"),
+    (["classify", CONIC12], "classification.schema.json"),
+    (["classify", MAPS6], "classification.schema.json"),
+    (["lab", "--d", "1,2", "--trials", "2", "--json"], "lab_report.schema.json"),
+    (["lab", "--d", "1,1", "--field", "Q", "--trials", "1", "--json"],
+     "lab_report.schema.json"),
+], ids=["betti", "betti-quotient", "classify-conic", "classify-maps6", "lab", "lab-Q"])
+def test_json_output_matches_schema(capsys, argv, schema):
+    assert main(argv) == 0
+    with open(os.path.join(SCHEMAS, schema)) as fh:
+        jsonschema.validate(json.loads(capsys.readouterr().out), json.load(fh))
 
 
 def test_h1_grid_matches_library(capsys):

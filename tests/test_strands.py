@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from bigres.exactcore import GF
-from bigres.bipoly import BiPoly, SystemF, strand_dim
+from bigres.exactcore import GF, QQ, ExactMatrix, mat_hstack, mat_rank, mat_vstack
+from bigres.bipoly import BiPoly, SystemF, mul_matrix, strand_dim
 from bigres.combinat import chi, cod, dom, nd
 from bigres.strands import (critical_ranges, h1_dim, h1_support_box, hf_quotient,
                             is_generic, koszul_strand_homology, phi_matrices)
@@ -56,6 +56,60 @@ def test_euler_and_tail_vanishing(d):
             assert koszul_strand_homology(sys_, a, 3) == 0
             assert hf_quotient(sys_, a) - h1_dim(sys_, a) == chi(d, a)
             assert h1_dim(sys_, a) >= nd(d, a)
+
+
+def _direct_koszul_ranks(sys_, a):
+    """(rank delta1, rank delta2, rank delta3) at a, built from mul_matrix."""
+    fld = sys_.field
+    d1, d2 = sys_.d
+    f0, f1, f2 = sys_.polys
+    b = [(a[0] - k * d1, a[1] - k * d2) for k in range(4)]
+
+    def mm(g, k):  # multiplication by g from strand b[k] to strand b[k-1]
+        if strand_dim(b[k]) == 0:
+            return ExactMatrix.zeros(fld, strand_dim(b[k - 1]), 0)
+        return mul_matrix(g, b[k]).matrix
+
+    def z(k):
+        return ExactMatrix.zeros(fld, strand_dim(b[k - 1]), strand_dim(b[k]))
+
+    delta1 = mat_hstack(fld, [mm(f0, 1), mm(f1, 1), mm(f2, 1)])
+    delta2 = mat_vstack(fld, [mat_hstack(fld, [mm(f1, 2), mm(f2, 2), z(2)]),
+                              mat_hstack(fld, [mm(-f0, 2), z(2), mm(f2, 2)]),
+                              mat_hstack(fld, [z(2), mm(-f0, 2), mm(-f1, 2)])])
+    delta3 = mat_vstack(fld, [mm(-f2, 3), mm(f1, 3), mm(-f0, 3)])
+    return tuple(mat_rank(m) for m in (delta1, delta2, delta3))
+
+
+@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 2)])
+def test_store_matches_direct_eliminations(d, fld):
+    # hf, Koszul H_0 and the Betti quotient strands read one stored
+    # elimination; this compares every strand fact with fresh ranks of
+    # matrices built here, bypassing the store
+    rng = random.Random(30 * d[0] + d[1])
+    sys_ = random_bpf_system(fld, d, rng)
+    d1, d2 = d
+    for a1 in range(3 * d1 + 3):
+        for a2 in range(3 * d2 + 3):
+            a = (a1, a2)
+            ranks = (0,) + _direct_koszul_ranks(sys_, a) + (0,)
+            dims = [strand_dim(a)] + [3 * strand_dim((a1 - k * d1, a2 - k * d2))
+                                      for k in (1, 2)] + [strand_dim((a1 - 3 * d1, a2 - 3 * d2))]
+            for i in range(4):
+                assert koszul_strand_homology(sys_, a, i) == \
+                    dims[i] - ranks[i] - ranks[i + 1], (a, i)
+            assert hf_quotient(sys_, a) == dims[0] - ranks[1]
+            phis = phi_matrices(sys_, a)
+            assert h1_dim(sys_, a) == sum(p.cols - mat_rank(p.matrix) for p in phis)
+    witness = None
+    for a1 in range(4 * d1 + 1):
+        for a2 in range(4 * d2 + 1):
+            if witness is None and any(mat_rank(p.matrix) != min(p.rows, p.cols)
+                                       for p in phi_matrices(sys_, (a1, a2))):
+                witness = (a1, a2)
+    verdict = is_generic(sys_)
+    assert (verdict.generic, verdict.witness) == (witness is None, witness)
 
 
 def test_h1_vanishes_outside_support_region():
