@@ -56,7 +56,7 @@ class _QuotientStrands:
         out = ExactMatrix.zeros(f, len(free_tgt), len(free_src))
         if not free_src or strand_dim(bt) == 0:
             return out
-    # target monomial index of xi * (monomial #idx of strand b)
+        # target monomial index of xi * (monomial #idx of strand b)
         idx = np.asarray(free_src, dtype=np.int64)
         es = b[0] - idx // (b[1] + 1)
         eu = b[1] - idx % (b[1] + 1)
@@ -68,11 +68,10 @@ class _QuotientStrands:
             eu = eu + 1
         tgt = (bt[0] - es) * (bt[1] + 1) + (bt[1] - eu)
         if f.is_prime_field:
-            for j, m in enumerate(tgt):
-                if fpos[m] >= 0:
-                    out.data[fpos[m], j] = 1
-                else:
-                    out.data[:, j] = (-tail.data[ppos[m], :]) % f.p
+            cols = np.arange(len(tgt))
+            hit = fpos[tgt] >= 0
+            out.data[fpos[tgt[hit]], cols[hit]] = 1
+            out.data[:, cols[~hit]] = (-tail.data[ppos[tgt[~hit]], :].T) % f.p
         else:
             for j, m in enumerate(tgt):
                 if fpos[m] >= 0:

@@ -396,7 +396,12 @@ def gcd_binary(p, q):
 
 
 def binary_roots(bf):
-    """Projective roots (alpha, beta) of bf over the ground field, sorted.
+    """Projective roots (alpha, beta) of bf over the ground field, each once.
+
+    Order: over GF(p), (1 : 0) first when v divides bf, then the points
+    (r : 1) by ascending r in [0, p).  Over Q, the pairs sorted by their
+    str(), a fixed order that is not by value.  Callers that take the first
+    root with some property (segre.basepoint_free's witness) depend on it.
 
     GF(p): exhaustive vectorized scan of (r : 1) plus the point (1 : 0).
     Q: rational-root search on the integer-cleared dehomogenization (divisor

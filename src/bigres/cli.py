@@ -17,8 +17,9 @@ from .bipoly import BiPoly, SystemF
 from .combinat import chi, nd, nd_grid, neg_part, pos_part, render_grid
 from .strands import h1_dim, hf_quotient, is_generic
 from .betti import betti_table, nonkoszul_beta1, verify_resolution
-from .segre import (ConicRedirect, basepoint_free, classify, conic_resolution,
-                    extract_factorization, three_point_resolution)
+from .segre import (ConicRedirect, ImpossibleFactorization, basepoint_free,
+                    classify, conic_resolution, extract_factorization,
+                    three_point_resolution)
 from . import lab as labmod
 
 
@@ -397,7 +398,7 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
-    except ComputationError as e:
+    except (ComputationError, ImpossibleFactorization) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 1
     except (ValueError, ArithmeticError, RuntimeError, OSError) as e:

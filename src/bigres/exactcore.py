@@ -4,10 +4,17 @@ Two backends share one deterministic pivoting rule (first nonzero entry,
 columns scanned left to right), so ranks, kernels and reduced echelon forms
 are bit-reproducible:
 
-* GF(p): numpy int64 matrices with entries in [0, p).  Elimination is
-  panel-blocked; the trailing update is a single float64 matmul per panel.
-  With panel width 128 and p = 32003 every dot product is bounded by
-  128*(p-1)^2 ~ 1.3e11 < 2^53, so the float path is exact.
+* GF(p): numpy int64 matrices with entries in [0, p).  Elimination runs on
+  a float64 copy with delayed reduction: entries are nonnegative integers,
+  reduced mod p only just before use, and the code keeps a bound on every
+  unreduced block.  Each 32-wide column panel is eliminated forward only;
+  one matmul per panel updates the trailing block, and blocked back-
+  substitution on the free columns gives the reduced form.  float64 holds
+  every integer below 2^53 exactly; the floor-based reduction needs values
+  up to 2^51 - p, and a block is reduced before its bound would pass that.
+  A reduced entry plus a dot product of 32 reduced entries stays below it:
+  FieldSpec admits only p with 128 (p-1)^2 < 2^53, and even for the largest
+  such prime, 8388593, 2^51 - 32 (p-1)^2 is about 8.6e9, far above 2p.
 * Q: fractions.Fraction entries.  Forward elimination is fraction-free
   (Bareiss) on denominator-cleared integer rows, then the staircase is
   normalized to reduced echelon form with exact rationals.
@@ -21,7 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 DEFAULT_PRIME = 32003
-_PANEL = 128
+_PANEL = 32
+_ROW_CHUNK = 512  # rows per trailing-update matmul; bounds its temporary
+_EXACT = 2 ** 51  # float64 is exact to 2^53; see _rref_prime for the margin
 
 
 def _is_prime(n):
@@ -48,8 +57,9 @@ class FieldSpec:
         if self.kind == "prime":
             if self.p is None or self.p <= 3 or not _is_prime(self.p):
                 raise ValueError(f"modulus must be a prime > 3, got {self.p}")
-            # keep the blocked float64 elimination exact: _PANEL * (p-1)^2 < 2^53
-            if _PANEL * (self.p - 1) ** 2 >= 2 ** 53:
+            # keep _rref_prime exact: 128 (p-1)^2 < 2^53 gives it one panel
+            # of updates below 2^51 - p (see its docstring)
+            if 128 * (self.p - 1) ** 2 >= 2 ** 53:
                 raise ValueError(f"modulus too large for exact elimination: {self.p}")
         elif self.p is not None:
             raise ValueError("rationals take no modulus")
@@ -281,70 +291,165 @@ def mat_from_cols(field, cols, nrows):
 # ---------------------------------------------------------------- GF(p) RREF
 
 def _rref_prime(a, p):
-    """In-place style RREF over GF(p); returns (rref ndarray, pivot columns).
+    """RREF over GF(p); returns (int64 ndarray, list of pivot columns).
 
-    Panel-blocked: pivots within a panel update panel columns immediately;
-    the trailing block is updated once per panel via one float64 matmul.
-    For each panel pivot j the multiplier column M[:, j] is the pivot
-    column's pre-elimination values, with the pivot row's own entry replaced
-    by (v_j - 1); then trailing -= M @ U reproduces the scale-and-eliminate
-    row operations for every row, pivot rows included.
+    Delayed reduction on a float64 working copy A.  Every entry of A is a
+    nonnegative integer of at most top = 2^51 - p, and it is reduced mod p
+    only when it is about to be used:
+
+    * Column panels of width _PANEL are eliminated forward only (rows below
+      the pivot) in a column-contiguous copy.  The panel column is reduced
+      to find its pivot, and the pivot row entries before they scale a
+      rank-one update.  Multipliers are stored negated (p - l), so every
+      update adds and nothing goes below zero.
+    * The U rows of the panel are the reduced rows times the inverse of the
+      panel's unit lower triangle, and one matmul adds (negated L) @ U to
+      the trailing block.  That block is reduced only when its running bound
+      grow + k (p-1)^2 would pass top.
+    * The pivot rows are normalized, and the reduced form comes from blocked
+      back-substitution on the free columns only; every matmul's inner
+      dimension is chunked to (top - p + 1) // (p-1)^2 terms and the
+      accumulator is reduced after each chunk.
+
+    FieldSpec admits only p with 128 (p-1)^2 < 2^53; for those p, 32 (p-1)^2
+    + 2p <= 2^51, so a whole panel of updates stays below top.
     """
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)
+    a = np.asarray(a)
     m, n = a.shape
-    pivots = []
     if m == 0 or n == 0:
-        return a, pivots
+        return np.zeros((m, n), dtype=np.int64), []
+    if a.min() < 0 or a.max() >= p:
+        a = a % p
+    A = np.array(a, dtype=np.float64, order="C")
+    q = float(p)
+    pinv = 1.0 / q
+    sq = (p - 1) ** 2
+    top = _EXACT - p
+
+    def red(x):
+        """x mod p in place; exact for integers 0 <= x <= top.
+
+        floor((x + 1/2) / p) is the exact quotient: (x + 1/2) / p lies at
+        least 1 / (2p) from every integer, and two roundings move it by less
+        than x 2^-52 / p < 1 / (2p).  libm's fmod is exact too, but its time
+        grows with the quotient, so it serves only short vectors.
+        """
+        if x.size <= 64:
+            return np.fmod(x, q, out=x)
+        t = x + 0.5
+        t *= pinv
+        np.floor(t, out=t)
+        t *= q
+        x -= t
+        return x
+
+    pivots = []
+    neg_invs = []
     r = 0
-    c0 = 0
-    while c0 < n and r < m:
+    grow = p - 1  # bound on the entries of A[r:, c0:]
+    for c0 in range(0, n, _PANEL):
         c1 = min(c0 + _PANEL, n)
-        M = np.zeros((m, c1 - c0), dtype=np.int64)
-        invs = []
-        panel_pivots = []
-        for c in range(c0, c1):
-            col = a[r:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i], :] = a[[i, r], :]
-                M[[r, i], :] = M[[i, r], :]
-            v = int(a[r, c])
-            inv = pow(v, p - 2, p)
-            urow = (a[r, c:c1] * inv) % p
-            mcol = a[:, c].copy()
-            mcol[r] = 0
-            if c + 1 < c1:
-                a[:, c + 1:c1] = (a[:, c + 1:c1] - np.outer(mcol, urow[1:])) % p
-            a[r, c:c1] = urow
-            a[:, c] = 0
-            a[r, c] = 1
-            j = len(panel_pivots)
-            M[:, j] = mcol
-            M[r, j] = v - 1
-            invs.append(inv)
-            panel_pivots.append((r, c))
-            pivots.append(c)
-            r += 1
-            if r == m:
+        w = c1 - c0
+        mm = m - r
+        P = np.ascontiguousarray(A[r:, c0:c1].T)
+        if grow >= p:
+            red(P)
+        pc = []
+        swaps = []
+        k = 0
+        for j in range(w):
+            col = P[j, k:]
+            if j:
+                red(col)
+            if col[0]:
+                i = k
+            else:
+                nz = col.nonzero()[0]
+                if not nz.size:
+                    continue
+                i = k + int(nz[0])
+                swap = P[:, k].copy()
+                P[:, k] = P[:, i]
+                P[:, i] = swap
+                swaps.append((k, i))
+            neg_inv = p - pow(int(P[j, k]), p - 2, p)
+            if j + 1 < w:
+                prow = red(P[j + 1:, k])
+                if k + 1 < mm:
+                    P[j + 1:, k + 1:] += red(prow * neg_inv)[:, None] * P[j, k + 1:]
+            pc.append(j)
+            pivots.append(c0 + j)
+            neg_invs.append(neg_inv)
+            k += 1
+            if k == mm:
                 break
-        k = len(panel_pivots)
-        if k and c1 < n:
-            t = n - c1
-            rs = [pr for pr, _ in panel_pivots]
-            U = np.empty((k, t), dtype=np.int64)
-            for j in range(k):
-                pr = rs[j]
-                row = a[pr, c1:].astype(np.int64)
-                if j:
-                    row = (row - M[pr, :j] @ U[:j]) % p
-                U[j] = (row * invs[j]) % p
-            prod = np.rint(M[:, :k].astype(np.float64) @ U.astype(np.float64)).astype(np.int64)
-            a[:, c1:] = (a[:, c1:] - prod) % p
-        c0 = c1
-    return a, pivots
+        if not k:
+            continue
+        # Below its pivot, a pivot column still holds the reduced entries it
+        # eliminated; they stay in A under the diagonal of U, where nothing
+        # reads them.
+        A[r:r + k, :c0] = 0
+        A[r:r + k, c0:c1] = P[:, :k].T
+        if c1 < n:
+            for i0, i1 in swaps:
+                A[[r + i0, r + i1], c1:] = A[[r + i1, r + i0], c1:]
+            # scaled, those entries are the negated multipliers
+            neg_l = red(P[pc].T * np.array(neg_invs[-k:], dtype=np.float64))
+            # U rows: the inverse of the unit lower triangle times the rows
+            Z = _unitri_inverse(neg_l[:k] * _LOWER[:k, :k], red)
+            A[r:r + k, c1:] = red(Z @ red(A[r:r + k, c1:]))
+            if k < mm:
+                if grow + k * sq > top:
+                    red(A[r + k:, c1:])
+                    grow = p - 1
+                U12 = A[r:r + k, c1:]
+                for s in range(k, mm, _ROW_CHUNK):
+                    A[r + s:r + s + _ROW_CHUNK, c1:] += neg_l[s:s + _ROW_CHUNK] @ U12
+                grow += k * sq
+        r += k
+        if r == m:
+            break
+    if not pivots:
+        return np.zeros((m, n), dtype=np.int64), pivots
+    piv = np.asarray(pivots)
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv] = False
+    free = is_free.nonzero()[0]
+    inv = q - np.array(neg_invs, dtype=np.float64)[:, None]
+    X = red(A[:r, free] * inv)
+    if free.size:
+        N = red(A[:r, piv] * (q - inv))  # minus the normalized U, on pivots
+        chunk = (top - p + 1) // sq
+        for i1 in range(r, 0, -_PANEL):
+            i0 = max(0, i1 - _PANEL)
+            B = X[i0:i1]
+            for s in range(i1, r, chunk):
+                B += N[i0:i1, s:s + chunk] @ X[s:s + chunk]
+                red(B)
+            b = i1 - i0
+            W = _unitri_inverse(N[i0:i1, i0:i1] * _LOWER[:b, :b].T, red)
+            X[i0:i1] = red(W @ B)
+    del A
+    R = np.zeros((m, n), dtype=np.int64)
+    R[np.arange(r), piv] = 1
+    R[:r, free] = X
+    return R, pivots
+
+
+_LOWER = np.tri(_PANEL, k=-1)  # mask of the strict lower triangle
+
+
+def _unitri_inverse(S, red):
+    """(I - S)^-1 = (I + S)(I + S^2)(I + S^4)... for S strictly triangular
+    of size at most _PANEL with reduced entries; every product has an inner
+    dimension of at most _PANEL terms."""
+    W = S + np.eye(len(S))
+    h = 2
+    while h < len(S):
+        S = red(S @ S)
+        W = red(W + W @ S)
+        h *= 2
+    return W
 
 
 # -------------------------------------------------------------------- Q RREF

@@ -21,7 +21,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .exactcore import (ExactMatrix, kernel_data, mat_hstack, mat_rank,
-                        mat_select_rows, mat_vstack, rref)
+                        mat_vstack, rref)
 from .bipoly import StrandMap, mul_matrix, strand_dim
 from .combinat import chi, nd
 
@@ -54,6 +54,25 @@ class InverseStrandBasis:
         return f"st-deg {self.st_deg} x inv-uv order {self.uv_order}"
 
 
+def _term_columns(f):
+    """(al, be, ga, de, coef) of the terms of f over GF(p), each an int64
+    column of shape (terms, 1); coef is reduced mod p."""
+    t = np.array([e + (int(c),) for e, c in f.coeffs.items()],
+                 dtype=np.int64).reshape(-1, 5)
+    t[:, 4] %= f.field.p
+    return t.T[:, :, None]
+
+
+def _scatter(mat, ok, rows, coef):
+    """mat[rows[t, j], j] = coef[t] wherever ok[t, j].
+
+    In one column the term fixes the target monomial (al and ga determine
+    it), so no two terms write the same cell and assignment is exact.
+    """
+    cols = np.broadcast_to(np.arange(mat.shape[1]), ok.shape)
+    mat[rows[ok], cols[ok]] = np.broadcast_to(coef, ok.shape)[ok]
+
+
 def _v1_block(f, src: InverseStrandBasis):
     """Multiplication by f on (st polynomials) x (inverse uv powers)."""
     fld = f.field
@@ -66,14 +85,11 @@ def _v1_block(f, src: InverseStrandBasis):
             idx = np.arange(ncols)
             c = src.st_deg - idx // (src.uv_order + 1)
             i = src.uv_order - idx % (src.uv_order + 1)
-            for (al, be, ga, de), coef in f.coeffs.items():
-                ok = (i >= ga) & (src.uv_order - i >= de)
-                if not ok.any():
-                    continue
-                rows = ((tgt.st_deg - (c[ok] + al)) * (tgt.uv_order + 1)
-                        + (tgt.uv_order - (i[ok] - ga)))
-                np.add.at(mat, (rows, idx[ok]), int(coef))
-            mat %= fld.p
+            al, be, ga, de, coef = _term_columns(f)
+            ok = (i >= ga) & (src.uv_order - i >= de)
+            rows = ((tgt.st_deg - (c + al)) * (tgt.uv_order + 1)
+                    + (tgt.uv_order - (i - ga)))
+            _scatter(mat, ok, rows, coef)
         return ExactMatrix(fld, nrows, ncols, mat)
     m = ExactMatrix.zeros(fld, nrows, ncols)
     for col in range(ncols):
@@ -99,14 +115,11 @@ def _v2_block(f, src: InverseStrandBasis):
             idx = np.arange(ncols)
             i = src.st_deg - idx // (src.uv_order + 1)
             k = src.uv_order - idx % (src.uv_order + 1)
-            for (al, be, ga, de), coef in f.coeffs.items():
-                ok = (i >= al) & (src.st_deg - i >= be)
-                if not ok.any():
-                    continue
-                rows = ((tgt.st_deg - (i[ok] - al)) * (tgt.uv_order + 1)
-                        + (tgt.uv_order - (k[ok] + ga)))
-                np.add.at(mat, (rows, idx[ok]), int(coef))
-            mat %= fld.p
+            al, be, ga, de, coef = _term_columns(f)
+            ok = (i >= al) & (src.st_deg - i >= be)
+            rows = ((tgt.st_deg - (i - al)) * (tgt.uv_order + 1)
+                    + (tgt.uv_order - (k + ga)))
+            _scatter(mat, ok, rows, coef)
         return ExactMatrix(fld, nrows, ncols, mat)
     m = ExactMatrix.zeros(fld, nrows, ncols)
     for col in range(ncols):
@@ -194,16 +207,21 @@ def _quotient_echelon(sys, b):
         piv, free = (), tuple(range(n))
         tail = ExactMatrix.zeros(fld, 0, n)
     else:
-        gens = mat_hstack(fld, [mul_matrix(f, src).matrix for f in sys.polys])
-        tail, piv = rref(gens.transpose())
+        # unnamed, [f0 f1 f2] is freed once transposed: only the transpose
+        # is alive while it is eliminated
+        tail, piv = rref(mat_hstack(fld, [mul_matrix(f, src).matrix
+                                          for f in sys.polys]).transpose())
         free = tuple(c for c in range(n) if c not in set(piv))
     free_pos = np.full(n, -1, dtype=np.int64)
     piv_pos = np.full(n, -1, dtype=np.int64)
     free_pos[list(free)] = np.arange(len(free))
     piv_pos[list(piv)] = np.arange(len(piv))
-    tail_free = mat_select_rows(tail.transpose(), list(free)).transpose() \
-        if len(piv) else ExactMatrix.zeros(fld, 0, len(free))
-    return free, free_pos, piv_pos, tail_free
+    r = len(piv)
+    if fld.is_prime_field:
+        data = tail.data[:r, list(free)]
+    else:
+        data = [[row[c] for c in free] for row in tail.data[:r]]
+    return free, free_pos, piv_pos, ExactMatrix(fld, r, len(free), data)
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,19 @@ def test_binary_roots_rationals():
     assert (Fraction(-1), Fraction(1)) in roots
 
 
+def test_binary_roots_order():
+    from fractions import Fraction
+    # GF(p): (1 : 0) first, then (r : 1) by ascending r
+    lin = lambda a, b: BinaryForm(FLD, 1, [FLD.normalize(b), FLD.normalize(a)])
+    bf = lin(1, -7) * lin(0, 1) * lin(1, -3) * lin(1, 0)
+    assert binary_roots(bf) == [(1, 0), (0, 1), (3, 1), (7, 1)]
+    # Q: sorted by str() of the pair
+    lin = lambda a, b: BinaryForm(QQ, 1, [Fraction(b), Fraction(a)])
+    bf = lin(2, -3) * lin(1, 1) * lin(0, 1) * lin(1, 0)
+    assert binary_roots(bf) == [(Fraction(-1), Fraction(1)), (Fraction(0), Fraction(1)),
+                                (Fraction(1), Fraction(0)), (Fraction(3, 2), Fraction(1))]
+
+
 def test_system_validation():
     rng = random.Random(1)
     f = random_form(FLD, (1, 2), rng)

@@ -125,6 +125,15 @@ def test_classify_cli(capsys):
     assert data["verdict"] == "SmoothConic"
 
 
+def test_classify_degenerate_conic_is_one_line_error(capsys):
+    # the basepointed system makes detect_conic raise ImpossibleFactorization
+    assert main(["classify", BP]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: conic syzygy coefficients span a "
+                            "degenerate quadric space\n")
+
+
 def test_generic_cli(capsys):
     assert main(["generic", MAPS6]) == 0
     assert "NotGeneric(witness (3, 6))" in capsys.readouterr().out

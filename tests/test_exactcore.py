@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,5 +219,126 @@ def test_modulus_validation():
         # would overflow the exact float64 elimination bound
         GF(2 ** 31 - 1)
     assert GF(5).p == 5
+    # the largest accepted prime and the next prime: 128 (p-1)^2 < 2^53
+    assert GF(8388593).p == 8388593
+    with pytest.raises(ValueError):
+        GF(8388617)
     with pytest.raises(ValueError):
         ExactMatrix.from_rows(GF(), [[1, 2], [3]])
+
+
+# ------------------------------------------- GF(p) kernel against a reference
+
+def gauss_jordan_mod(rows, p):
+    """Reduced row echelon form mod p by textbook Gauss-Jordan on Python ints."""
+    a = [[x % p for x in row] for row in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    piv = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(m):
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        piv.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, piv
+
+
+def _kernel_cases(p, rng):
+    """(name, rows, ncols) for the GF(p) kernel: empty shapes, dense and
+    sparse draws, zero columns, repeated rows and low-rank products."""
+    def dense(m, n, density=1.0):
+        return [[rng.randrange(p) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(m)]
+
+    def product(m, n, k):
+        left, right = dense(m, k), dense(k, n)
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
+                for row in left]
+
+    cases = [("0x5", [], 5), ("5x0", [[]] * 5, 0), ("1x1 zero", [[0]], 1),
+             ("3x7", dense(3, 7), 7), ("7x3", dense(7, 3), 3),
+             ("sparse 45x50", dense(45, 50, 0.08), 50),
+             ("dense 150x140", dense(150, 140), 140),
+             ("tall 300x40", dense(300, 40), 40),
+             ("wide 40x300", dense(40, 300), 300),
+             ("rank 20 of 120x150", product(120, 150, 20), 150),
+             ("rank 70 of 100x90", product(100, 90, 70), 90)]
+    rows = dense(60, 80)
+    for c in rng.sample(range(80), 25):
+        for row in rows:
+            row[c] = 0
+    cases.append(("25 zero columns", rows, 80))
+    rows = dense(30, 70)
+    rows += [list(rows[rng.randrange(30)]) for _ in range(40)]
+    rng.shuffle(rows)
+    cases.append(("repeated rows", rows, 70))
+    # Worst cases for the float64 bound: every product is (p-1)^2.
+    # L [U | F], L all ones below the diagonal, U unit upper with -1 above
+    # it and F all -1: the multipliers are 1 and the U rows -1 throughout,
+    # so each panel adds its full k (p-1)^2 to the trailing block.
+    r = 200
+    top = [[1 if j == i else p - 1 if j > i else 0 for j in range(r)] + [p - 1] * 5
+           for i in range(r)]
+    acc = [0] * (r + 5)
+    rows = []
+    for row in top:
+        acc = [(x + y) % p for x, y in zip(acc, row)]
+        rows.append(acc)
+    cases.append(("all-ones L times [U | -1]", rows, r + 5))
+    # [U | F], U unit upper with 1 above the diagonal and F[i][j] = i + j:
+    # the reduced free columns are -1 down to the last row, so back-
+    # substitution sums products of (p-1)^2 over every later pivot row.
+    rows = [[1 if j >= i else 0 for j in range(r)] + [i + j for j in range(5)]
+            for i in range(r)]
+    rng.shuffle(rows)
+    cases.append(("[U | F] with -1 free columns", rows, r + 5))
+    return cases
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003, 8388593])
+def test_prime_kernel_matches_gauss_jordan(p):
+    # 8388593 is the largest prime GF accepts: (p-1)^2 fills the float64
+    # margin, so the guard that reduces the trailing block and the chunked
+    # back-substitution both run, and the worst cases would overflow without
+    fld = GF(p)
+    most = 0
+    for name, rows, n in _kernel_cases(p, random.Random(p)):
+        m = ExactMatrix.from_rows(fld, rows) if rows else ExactMatrix.zeros(fld, 0, n)
+        want, wpiv = gauss_jordan_mod(rows, p)
+        got, piv = rref(m)
+        assert list(piv) == wpiv, name
+        assert got.to_lists() == want, name
+        assert mat_rank(m) == len(wpiv), name
+        k, free = kernel_data(m)
+        assert list(free) == [c for c in range(n) if c not in wpiv], name
+        expect = [[0] * len(free) for _ in range(n)]
+        for j, fc in enumerate(free):
+            expect[fc][j] = 1
+            for i, pc in enumerate(wpiv):
+                expect[pc][j] = -want[i][fc] % p
+        assert k.to_lists() == expect, name
+        most = max(most, len(wpiv))
+    assert most > 128
+
+
+def test_prime_rref_reduces_raw_entries():
+    # data outside [0, p), as a caller may build it, is reduced on entry
+    fld = GF(7)
+    rng = random.Random(2)
+    rows = [[rng.randint(-50, 50) for _ in range(9)] for _ in range(6)]
+    raw = ExactMatrix(fld, 6, 9, np.array(rows, dtype=np.int64))
+    want, wpiv = gauss_jordan_mod(rows, 7)
+    got, piv = rref(raw)
+    assert list(piv) == wpiv
+    assert got.to_lists() == want

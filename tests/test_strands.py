@@ -8,8 +8,9 @@ import pytest
 from bigres.exactcore import GF, QQ, ExactMatrix, mat_hstack, mat_rank, mat_vstack
 from bigres.bipoly import BiPoly, SystemF, mul_matrix, strand_dim
 from bigres.combinat import chi, cod, dom, nd
-from bigres.strands import (critical_ranges, h1_dim, h1_support_box, hf_quotient,
-                            is_generic, koszul_strand_homology, phi_matrices)
+from bigres.strands import (_phi_sources, _v1_block, _v2_block, critical_ranges,
+                            h1_dim, h1_support_box, hf_quotient, is_generic,
+                            koszul_strand_homology, phi_matrices)
 from bigres.cli import load_system
 from helpers import data_path, random_bpf_system
 
@@ -29,6 +30,26 @@ def test_phi_dimensions_match_combinatorics():
                 phi1, phi2 = phi_matrices(sys_, (a1, a2))
                 assert phi1.cols + phi2.cols == dom(d, (a1, a2))
                 assert phi1.rows + phi2.rows == 3 * cod(d, (a1, a2))
+
+
+@pytest.mark.parametrize("d", [(1, 2), (2, 3)])
+def test_phi_blocks_prime_field_match_rationals(d):
+    # the GF(p) builders scatter all terms at once; the Fraction branch adds
+    # term by term, so its blocks reduced mod p are the reference
+    p = 32003
+    rng = random.Random(d[0] + 5 * d[1])
+    vecs = [[rng.randint(-3 * p, 3 * p) for _ in range(strand_dim(d))] for _ in range(3)]
+    pairs = [[BiPoly.from_vector(fld, d, v) for fld in (QQ, GF(p))] for v in vecs]
+    for a1 in range(4 * d[0] + 1):
+        for a2 in range(4 * d[1] + 1):
+            src1, src2 = _phi_sources(d, (a1, a2))
+            for block, src in ((_v1_block, src1), (_v2_block, src2)):
+                for fq, fp in pairs:
+                    want = block(fq, src)
+                    got = block(fp, src)
+                    assert (got.rows, got.cols) == (want.rows, want.cols)
+                    assert got.to_lists() == [[int(x) % p for x in row]
+                                              for row in want.to_lists()], (a1, a2)
 
 
 @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 2)])
