@@ -22,12 +22,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactcore import (ExactMatrix, kernel_data, mat_hstack, mat_mul,
-                        mat_rank, mat_select_rows, mat_vstack, rref)
+from .exactcore import (ExactMatrix, kernel_data, mat_hstack, mat_mul, mat_rank,
+                        mat_vstack, rref)
 from .bipoly import (BiPoly, BinaryForm, binary_from_bipoly, gcd_binary,
                      mul_matrix, split_st, strand_dim)
-from .strands import (_mat_neg, _phi_kernels, _quotient_echelon, _v1_block,
-                      _v2_block, hf_quotient)
+from .strands import _inverse_block, _phi_kernels, _quotient_echelon, hf_quotient
 
 VAR_NAMES = ("s", "t", "u", "v")
 VAR_DEGREES = ((1, 0), (1, 0), (0, 1), (0, 1))
@@ -51,34 +50,18 @@ class _QuotientStrands:
         dx = VAR_DEGREES[xi]
         bt = (b[0] + dx[0], b[1] + dx[1])
         free_src = _quotient_echelon(self.sys, b)[0]
-        free_tgt, fpos, ppos, tail = _quotient_echelon(self.sys, bt)
-        f = self.field
-        out = ExactMatrix.zeros(f, len(free_tgt), len(free_src))
-        if not free_src or strand_dim(bt) == 0:
+        free_tgt, fpos, ppos, neg_tail = _quotient_echelon(self.sys, bt)
+        out = ExactMatrix.zeros(self.field, len(free_tgt), len(free_src))
+        if not (len(free_src) and len(free_tgt)):
             return out
         # target monomial index of xi * (monomial #idx of strand b)
-        idx = np.asarray(free_src, dtype=np.int64)
-        es = b[0] - idx // (b[1] + 1)
-        eu = b[1] - idx % (b[1] + 1)
-        if xi == 0:
-            es = es + 1
-        elif xi == 1:
-            pass
-        elif xi == 2:
-            eu = eu + 1
+        es = b[0] - free_src // (b[1] + 1) + (xi == 0)
+        eu = b[1] - free_src % (b[1] + 1) + (xi == 2)
         tgt = (bt[0] - es) * (bt[1] + 1) + (bt[1] - eu)
-        if f.is_prime_field:
-            cols = np.arange(len(tgt))
-            hit = fpos[tgt] >= 0
-            out.data[fpos[tgt[hit]], cols[hit]] = 1
-            out.data[:, cols[~hit]] = (-tail.data[ppos[tgt[~hit]], :].T) % f.p
-        else:
-            for j, m in enumerate(tgt):
-                if fpos[m] >= 0:
-                    out.data[fpos[m]][j] = f.one()
-                else:
-                    for r in range(len(free_tgt)):
-                        out.data[r][j] = -tail.data[ppos[m]][r]
+        cols = np.arange(len(tgt))
+        hit = fpos[tgt] >= 0
+        out.data[fpos[tgt[hit]], cols[hit]] = self.field.one()
+        out.data[:, cols[~hit]] = neg_tail.data[ppos[tgt[~hit]]].T
         return out
 
 
@@ -99,49 +82,52 @@ class _H1Strands:
         dx = VAR_DEGREES[xi]
         bt = (b[0] + dx[0], b[1] + dx[1])
         x = BiPoly.variable(self.field, VAR_NAMES[xi])
-        p1, p2 = _phi_kernels(self.sys, b)
-        p1t, p2t = _phi_kernels(self.sys, bt)
-        k1, k2, k1t, k2t = p1.kernel, p2.kernel, p1t.kernel, p2t.kernel
-        c1 = mat_select_rows(mat_mul(_v1_block(x, p1.src), k1), list(p1t.free)) \
-            if k1.cols and k1t.cols else ExactMatrix.zeros(self.field, k1t.cols, k1.cols)
-        c2 = mat_select_rows(mat_mul(_v2_block(x, p2.src), k2), list(p2t.free)) \
-            if k2.cols and k2t.cols else ExactMatrix.zeros(self.field, k2t.cols, k2.cols)
-        z12 = ExactMatrix.zeros(self.field, k1t.cols, k2.cols)
-        z21 = ExactMatrix.zeros(self.field, k2t.cols, k1.cols)
-        return mat_vstack(self.field, [mat_hstack(self.field, [c1, z12]),
-                                       mat_hstack(self.field, [c2, z21])])
+        src, tgt = _phi_kernels(self.sys, b), _phi_kernels(self.sys, bt)
+        out = ExactMatrix.zeros(self.field, sum(k.nullity for k in tgt),
+                                sum(k.nullity for k in src))
+        r0 = c0 = 0
+        for ks, kt in zip(src, tgt):
+            if ks.nullity and kt.nullity:
+                image = mat_mul(_inverse_block(x, ks.src), ks.kernel).data
+                out.data[r0:r0 + kt.nullity, c0:c0 + ks.nullity] = image[list(kt.free)]
+            r0 += kt.nullity
+            c0 += ks.nullity
+        return out
 
 
 def _koszul_module_homology(provider, a):
     """Homology dims (H_0..H_4) of the variable Koszul complex on a module.
 
     The complex at bidegree a has spots indexed by subsets S of {s,t,u,v};
-    d(e_S (x) m) = sum_l (-1)^(l-1) e_(S minus x_l) (x) x_l m.
+    d(e_S (x) m) = sum_l (-1)^(l-1) e_(S minus x_l) (x) x_l m.  Each
+    differential is one preallocated array; the action blocks are written
+    into it at the offsets of their spots, negated where the sign is.
     """
     f = provider.field
-    a1, a2 = a
-
-    def shifted(S):
-        return (a1 - sum(VAR_DEGREES[i][0] for i in S),
-                a2 - sum(VAR_DEGREES[i][1] for i in S))
-
     subsets = [list(combinations(range(4), j)) for j in range(5)]
-    dims = [sum(provider.dim(shifted(S)) for S in subsets[j]) for j in range(5)]
-    ranks = []
+    shifted, dim, offset, dims = {}, {}, {}, []
+    for group in subsets:
+        n = 0
+        for S in group:
+            shifted[S] = (a[0] - sum(VAR_DEGREES[i][0] for i in S),
+                          a[1] - sum(VAR_DEGREES[i][1] for i in S))
+            dim[S] = provider.dim(shifted[S])
+            offset[S] = n
+            n += dim[S]
+        dims.append(n)
+    ranks = [0]
     for j in range(1, 5):
-        rows_groups = subsets[j - 1]
-        row_index = {S: i for i, S in enumerate(rows_groups)}
-        blocks = [[ExactMatrix.zeros(f, provider.dim(shifted(Sr)),
-                                     provider.dim(shifted(Sc)))
-                   for Sc in subsets[j]] for Sr in rows_groups]
-        for ci, Sc in enumerate(subsets[j]):
+        mat = f.zeros((dims[j - 1], dims[j]))
+        for Sc in subsets[j]:
+            c0, c1 = offset[Sc], offset[Sc] + dim[Sc]
             for l, xi in enumerate(Sc):
                 Sr = tuple(x for x in Sc if x != xi)
-                blk = provider.action(xi, shifted(Sc))
-                blocks[row_index[Sr]][ci] = _mat_neg(blk) if l % 2 else blk
-        mat = mat_vstack(f, [mat_hstack(f, row) for row in blocks])
-        ranks.append(mat_rank(mat))
-    ranks = [0] + ranks + [0]
+                if dim[Sc] and dim[Sr]:
+                    blk = provider.action(xi, shifted[Sc]).data
+                    mat[offset[Sr]:offset[Sr] + dim[Sr], c0:c1] = \
+                        f.reduce(-blk) if l % 2 else blk
+        ranks.append(mat_rank(ExactMatrix(f, *mat.shape, mat)))
+    ranks.append(0)
     return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(5))
 
 
@@ -402,21 +388,6 @@ class HilbertBurchData:
         return [[col[r] for col in self.columns] for r in range(len(self.generators))]
 
 
-def _binary_mul_matrix(bf, src_deg):
-    """Multiplication by bf: k[u,v]_src -> k[u,v]_(src+deg bf), u-descending."""
-    f = bf.field
-    n = bf.degree
-    rows, cols = n + src_deg + 1, src_deg + 1
-    m = ExactMatrix.zeros(f, rows, cols)
-    for j in range(cols):
-        ju = src_deg - j
-        for e, c in enumerate(bf.coeffs):
-            if not f.is_zero(c):
-                r = (n + src_deg) - (e + ju)
-                m.set(r, j, f.add(m.get(r, j), c))
-    return m
-
-
 def hb_kernel(q, degree=None):
     """Minimal syzygies of m >= 2 coprime binary forms, strand by strand.
 
@@ -446,7 +417,7 @@ def hb_kernel(q, degree=None):
     found = []
     for b in range(0, 3 * n + 1):
         target_rows = n + b + 1
-        stacked = mat_hstack(fld, [_binary_mul_matrix(qq, b) for qq in q])
+        stacked = mat_hstack(fld, [mul_matrix(qq.to_bipoly(), (0, b)).matrix for qq in q])
         kern = kernel_data(stacked)[0]
         if kern.cols:
             old_cols = []
@@ -579,7 +550,7 @@ def syz3star(sys):
                 if entry is None:
                     row_blocks.append(ExactMatrix.zeros(fld, 2 * n - bk + 1, n - bk + 1))
                 else:
-                    row_blocks.append(_binary_mul_matrix(entry, n - bk))
+                    row_blocks.append(mul_matrix(entry.to_bipoly(), (0, n - bk)).matrix)
             blocks.append(mat_hstack(fld, row_blocks))
         strand = mat_vstack(fld, blocks)
         vec = []

@@ -168,6 +168,25 @@ class StrandMap:
         return self.matrix.cols
 
 
+def _term_columns(f):
+    """(al, be, ga, de, coef) of the terms of f, each a column of shape
+    (terms, 1): exponents as int64, coefficients of the field's dtype."""
+    expts = np.array(list(f.coeffs), dtype=np.int64).reshape(-1, 4)
+    coef = np.array(list(f.coeffs.values()), dtype=f.field.dtype).reshape(-1, 1)
+    return (*expts.T[:, :, None], coef)
+
+
+def _scatter(mat, ok, rows, coef):
+    """mat[rows[t, j], j] = coef[t] wherever ok[t, j].
+
+    Callers pass one row per (term t, source column j) in which the term
+    fixes the target monomial, so no two terms write the same cell and
+    assignment is exact.
+    """
+    cols = np.broadcast_to(np.arange(mat.shape[1]), ok.shape)
+    mat[rows[ok], cols[ok]] = np.broadcast_to(coef, ok.shape)[ok]
+
+
 def mul_matrix(g, b):
     """Matrix of multiplication by g from strand b to strand b + deg(g).
 
@@ -179,27 +198,14 @@ def mul_matrix(g, b):
         raise ValueError("source bidegree must be nonnegative")
     f = g.field
     t1, t2 = b1 + g.degree[0], b2 + g.degree[1]
-    ncols = strand_dim(b)
-    nrows = strand_dim((t1, t2))
-    label_dom = f"R({b1},{b2})"
-    label_cod = f"R({t1},{t2})"
-    if f.is_prime_field:
-        mat = np.zeros((nrows, ncols), dtype=np.int64)
-        if ncols and nrows:
-            idx = np.arange(ncols)
-            es = b1 - idx // (b2 + 1)
-            eu = b2 - idx % (b2 + 1)
-            for (tes, tet, teu, tev), c in g.coeffs.items():
-                rows = (t1 - (es + tes)) * (t2 + 1) + (t2 - (eu + teu))
-                np.add.at(mat, (rows, idx), int(c))
-            mat %= f.p
-        return StrandMap(ExactMatrix(f, nrows, ncols, mat), label_dom, label_cod)
-    m = ExactMatrix.zeros(f, nrows, ncols)
-    for j, (es, et, eu, ev) in enumerate(strand_basis(b)):
-        for (tes, tet, teu, tev), c in g.coeffs.items():
-            i = strand_index((t1, t2), (es + tes, et + tet, eu + teu, ev + tev))
-            m.set(i, j, f.add(m.get(i, j), c))
-    return StrandMap(m, label_dom, label_cod)
+    mat = f.zeros((strand_dim((t1, t2)), strand_dim(b)))
+    if mat.size and g.coeffs:
+        idx = np.arange(mat.shape[1])
+        al, be, ga, de, coef = _term_columns(g)
+        rows = ((t1 - (b1 - idx // (b2 + 1) + al)) * (t2 + 1)
+                + (t2 - (b2 - idx % (b2 + 1) + ga)))
+        _scatter(mat, np.ones(rows.shape, dtype=bool), rows, coef)
+    return StrandMap(ExactMatrix(f, *mat.shape, mat), f"R({b1},{b2})", f"R({t1},{t2})")
 
 
 @dataclass(eq=False)

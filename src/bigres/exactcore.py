@@ -1,29 +1,34 @@
 """Exact dense linear algebra over Q and over prime fields GF(p).
 
-Two backends share one deterministic pivoting rule (first nonzero entry,
-columns scanned left to right), so ranks, kernels and reduced echelon forms
-are bit-reproducible:
+A matrix is one numpy array for both fields: int64 residues in [0, p) over
+GF(p), Fraction objects (dtype object) over Q.  FieldSpec holds the only
+facts that depend on the field (the dtype, the zero array and the reduction
+mod p), so products, stacking, kernels and determinants take one path.
+Elimination has one kernel per field, and both share one deterministic
+pivoting rule (first nonzero entry, columns scanned left to right), so
+ranks, kernels and reduced echelon forms are bit-reproducible:
 
-* GF(p): numpy int64 matrices with entries in [0, p).  Elimination runs on
-  a float64 copy with delayed reduction: entries are nonnegative integers,
-  reduced mod p only just before use, and the code keeps a bound on every
-  unreduced block.  Each 32-wide column panel is eliminated forward only;
-  one matmul per panel updates the trailing block, and blocked back-
-  substitution on the free columns gives the reduced form.  float64 holds
-  every integer below 2^53 exactly; the floor-based reduction needs values
-  up to 2^51 - p, and a block is reduced before its bound would pass that.
-  A reduced entry plus a dot product of 32 reduced entries stays below it:
-  FieldSpec admits only p with 128 (p-1)^2 < 2^53, and even for the largest
-  such prime, 8388593, 2^51 - 32 (p-1)^2 is about 8.6e9, far above 2p.
-* Q: fractions.Fraction entries.  Forward elimination is fraction-free
-  (Bareiss) on denominator-cleared integer rows, then the staircase is
-  normalized to reduced echelon form with exact rationals.
+* GF(p): elimination runs on a float64 copy with delayed reduction:
+  entries are nonnegative integers, reduced mod p only just before use, and
+  the code keeps a bound on every unreduced block.  Each 32-wide column
+  panel is eliminated forward only; one matmul per panel updates the
+  trailing block, and blocked back-substitution on the free columns gives
+  the reduced form.  float64 holds every integer below 2^53 exactly; the
+  floor-based reduction needs values up to 2^51 - p, and a block is reduced
+  before its bound would pass that.  A reduced entry plus a dot product of
+  32 reduced entries stays below it: FieldSpec admits only p with
+  128 (p-1)^2 < 2^53, and even for the largest such prime, 8388593,
+  2^51 - 32 (p-1)^2 is about 8.6e9, far above 2p.
+* Q: forward elimination is fraction-free (Bareiss) on denominator-cleared
+  integer rows, then the staircase is normalized to reduced echelon form
+  with exact rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -46,7 +51,12 @@ def _is_prime(n):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Ground field: kind is "rationals" or "prime" (with modulus p > 3)."""
+    """Ground field: kind is "rationals" or "prime" (with modulus p > 3).
+
+    Matrices over it are numpy arrays of one dtype: int64 residues in [0, p)
+    over GF(p), Fraction objects over Q.  dtype, zeros and reduce are the
+    only matrix facts that depend on the field.
+    """
 
     kind: str
     p: int | None = None
@@ -68,51 +78,59 @@ class FieldSpec:
     def is_prime_field(self):
         return self.kind == "prime"
 
+    @property
+    def dtype(self):
+        return np.int64 if self.is_prime_field else object
+
+    def zeros(self, shape):
+        """Zero array of the field's dtype; over Q every cell is Fraction(0)."""
+        if self.is_prime_field:
+            return np.zeros(shape, dtype=np.int64)
+        return np.full(shape, Fraction(0), dtype=object)
+
+    def reduce(self, x):
+        """Canonical form of a scalar or an array: x mod p over GF(p), x over Q."""
+        return x % self.p if self.is_prime_field else x
+
     # scalar arithmetic; prime-field scalars are ints in [0, p), rational
     # scalars are Fractions
     def normalize(self, x):
-        if self.is_prime_field:
-            return int(x) % self.p
-        return Fraction(x)
+        return int(x) % self.p if self.is_prime_field else Fraction(x)
 
     def zero(self):
-        return 0 if self.is_prime_field else Fraction(0)
+        return self.normalize(0)
 
     def one(self):
-        return 1 if self.is_prime_field else Fraction(1)
+        return self.normalize(1)
 
     def add(self, a, b):
-        return (a + b) % self.p if self.is_prime_field else a + b
+        return self.reduce(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.is_prime_field else a - b
+        return self.reduce(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.is_prime_field else a * b
+        return self.reduce(a * b)
 
     def neg(self, a):
-        return (-a) % self.p if self.is_prime_field else -a
+        return self.reduce(-a)
 
     def inv(self, a):
-        if self.is_prime_field:
-            if a % self.p == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(int(a), self.p - 2, self.p)
-        if a == 0:
+        if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        if self.is_prime_field:
+            return pow(int(a), self.p - 2, self.p)
+        return 1 / Fraction(a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
-        return (a % self.p == 0) if self.is_prime_field else a == 0
+        return self.reduce(a) == 0
 
     def from_str(self, s):
         s = s.strip()
-        if self.is_prime_field:
-            return int(s) % self.p
-        return Fraction(s)
+        return self.normalize(int(s) if self.is_prime_field else Fraction(s))
 
     def to_str(self, x):
         return str(x)
@@ -135,26 +153,25 @@ def GF(p=DEFAULT_PRIME):
 class ExactMatrix:
     """Dense matrix over a FieldSpec.
 
-    data is an int64 ndarray (prime field) or a list of Fraction rows (Q).
-    Empty shapes (0 x n, n x 0) are legal throughout.
+    data is a rows x cols numpy array of field.dtype: int64 residues over
+    GF(p), Fractions (dtype object) over Q.  get, row and to_lists return
+    Python ints or Fractions.  Empty shapes (0 x n, n x 0) are legal
+    throughout.
     """
 
     field: FieldSpec
     rows: int
     cols: int
-    data: object
+    data: np.ndarray
 
     @staticmethod
     def zeros(field, rows, cols):
-        if field.is_prime_field:
-            return ExactMatrix(field, rows, cols, np.zeros((rows, cols), dtype=np.int64))
-        return ExactMatrix(field, rows, cols, [[Fraction(0)] * cols for _ in range(rows)])
+        return ExactMatrix(field, rows, cols, field.zeros((rows, cols)))
 
     @staticmethod
     def identity(field, n):
         m = ExactMatrix.zeros(field, n, n)
-        for i in range(n):
-            m.set(i, i, field.one())
+        np.fill_diagonal(m.data, field.one())
         return m
 
     @staticmethod
@@ -164,120 +181,73 @@ class ExactMatrix:
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        if field.is_prime_field:
-            data = np.array(rows, dtype=np.int64).reshape(nr, nc) % field.p
-            return ExactMatrix(field, nr, nc, data)
-        return ExactMatrix(field, nr, nc, rows)
+        return ExactMatrix(field, nr, nc, np.array(rows, dtype=field.dtype).reshape(nr, nc))
 
     def get(self, i, j):
-        if self.field.is_prime_field:
-            return int(self.data[i, j])
-        return self.data[i][j]
+        return self.data.item(i, j)
 
     def set(self, i, j, v):
-        if self.field.is_prime_field:
-            self.data[i, j] = int(v) % self.field.p
-        else:
-            self.data[i][j] = Fraction(v)
+        self.data[i, j] = self.field.normalize(v)
 
     def row(self, i):
-        if self.field.is_prime_field:
-            return [int(x) for x in self.data[i]]
-        return list(self.data[i])
+        return self.data[i].tolist()
 
     def col(self, j):
-        return [self.get(i, j) for i in range(self.rows)]
+        return self.data[:, j].tolist()
 
     def to_lists(self):
-        return [self.row(i) for i in range(self.rows)]
+        return self.data.tolist()
 
     def copy(self):
-        if self.field.is_prime_field:
-            return ExactMatrix(self.field, self.rows, self.cols, self.data.copy())
-        return ExactMatrix(self.field, self.rows, self.cols, [list(r) for r in self.data])
+        return ExactMatrix(self.field, self.rows, self.cols, self.data.copy())
 
     def transpose(self):
-        if self.field.is_prime_field:
-            return ExactMatrix(self.field, self.cols, self.rows,
-                               np.ascontiguousarray(self.data.T))
-        return ExactMatrix(self.field, self.cols, self.rows,
-                           [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return ExactMatrix(self.field, self.cols, self.rows, np.ascontiguousarray(self.data.T))
 
     def is_zero(self):
-        if self.field.is_prime_field:
-            return not self.data.size or not (self.data % self.field.p).any()
-        return all(x == 0 for r in self.data for x in r)
+        return not self.field.reduce(self.data).any()
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self.field, self.rows, self.cols) != (other.field, other.rows, other.cols):
             return False
-        if self.field.is_prime_field:
-            return bool(((self.data - other.data) % self.field.p == 0).all())
-        return self.data == other.data
+        return not self.field.reduce(self.data - other.data).any()
 
 
 def mat_mul(a, b):
     if a.field != b.field or a.cols != b.rows:
         raise ValueError("shape/field mismatch")
     f = a.field
-    if f.is_prime_field:
-        # int64 matmul overflows for large inner dims; chunk the inner axis so
-        # every partial sum stays below 2^62
-        p = f.p
-        n = a.cols
-        chunk = max(1, (1 << 62) // (p * p))
-        out = np.zeros((a.rows, b.cols), dtype=np.int64)
-        for s in range(0, n, chunk):
-            out = (out + a.data[:, s:s + chunk] @ b.data[s:s + chunk, :]) % p
-        return ExactMatrix(f, a.rows, b.cols, out)
-    out = ExactMatrix.zeros(f, a.rows, b.cols)
-    for i in range(a.rows):
-        ra = a.data[i]
-        oi = out.data[i]
-        for k in range(a.cols):
-            x = ra[k]
-            if x == 0:
-                continue
-            rb = b.data[k]
-            for j in range(b.cols):
-                if rb[j] != 0:
-                    oi[j] += x * rb[j]
-    return out
+    # int64 matmul overflows for large inner dims; over GF(p) the inner axis
+    # is chunked so every partial sum stays below 2^62
+    chunk = max(1, (1 << 62) // (f.p * f.p)) if f.p else max(1, a.cols)
+    out = f.zeros((a.rows, b.cols))
+    for s in range(0, a.cols, chunk):
+        out = f.reduce(out + a.data[:, s:s + chunk] @ b.data[s:s + chunk, :])
+    return ExactMatrix(f, a.rows, b.cols, out)
 
 
 def mat_hstack(field, blocks):
-    blocks = [b for b in blocks]
+    blocks = list(blocks)
     if not blocks:
         raise ValueError("no blocks")
     rows = blocks[0].rows
     if any(b.rows != rows for b in blocks):
         raise ValueError("row mismatch")
-    if field.is_prime_field:
-        data = np.hstack([b.data.reshape(rows, b.cols) for b in blocks])
-        return ExactMatrix(field, rows, sum(b.cols for b in blocks), data)
-    out = [[] for _ in range(rows)]
-    for b in blocks:
-        for i in range(rows):
-            out[i].extend(b.data[i])
-    return ExactMatrix(field, rows, sum(b.cols for b in blocks), out)
+    data = np.hstack([b.data for b in blocks])
+    return ExactMatrix(field, rows, data.shape[1], data)
 
 
 def mat_vstack(field, blocks):
-    blocks = [b for b in blocks]
+    blocks = list(blocks)
     if not blocks:
         raise ValueError("no blocks")
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
         raise ValueError("col mismatch")
-    if field.is_prime_field:
-        data = np.vstack([b.data.reshape(b.rows, cols) for b in blocks])
-        return ExactMatrix(field, sum(b.rows for b in blocks), cols, data)
-    out = []
-    for b in blocks:
-        out.extend([list(r) for r in b.data])
-    return ExactMatrix(field, sum(b.rows for b in blocks), cols, out)
+    data = np.vstack([b.data for b in blocks])
+    return ExactMatrix(field, data.shape[0], cols, data)
 
 
 def mat_from_cols(field, cols, nrows):
@@ -412,9 +382,7 @@ def _rref_prime(a, p):
     if not pivots:
         return np.zeros((m, n), dtype=np.int64), pivots
     piv = np.asarray(pivots)
-    is_free = np.ones(n, dtype=bool)
-    is_free[piv] = False
-    free = is_free.nonzero()[0]
+    free = free_columns(n, pivots)
     inv = q - np.array(neg_invs, dtype=np.float64)[:, None]
     X = red(A[:r, free] * inv)
     if free.size:
@@ -458,17 +426,9 @@ def _clear_rows(rows):
     """Scale each Fraction row to integers (row scaling keeps rank/kernel/rowspace)."""
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in row))
         out.append([int(x * den) for x in row])
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _rref_rational(rows):
@@ -524,8 +484,9 @@ def rref(m):
     """Reduced row echelon form; returns (ExactMatrix, tuple of pivot columns)."""
     if m.field.is_prime_field:
         data, piv = _rref_prime(m.data, m.field.p)
-        return ExactMatrix(m.field, m.rows, m.cols, data), tuple(piv)
-    data, piv = _rref_rational(m.data)
+    else:
+        rows, piv = _rref_rational(m.data.tolist())
+        data = np.array(rows, dtype=object).reshape(m.rows, m.cols)
     return ExactMatrix(m.field, m.rows, m.cols, data), tuple(piv)
 
 
@@ -540,12 +501,15 @@ def mat_rank(m):
 
 def mat_select_rows(m, rows):
     """New matrix from the given row indices, in the given order."""
-    f = m.field
-    if f.is_prime_field:
-        data = (m.data[list(rows), :].copy() if m.cols
-                else np.zeros((len(rows), 0), dtype=np.int64))
-        return ExactMatrix(f, len(rows), m.cols, data)
-    return ExactMatrix(f, len(rows), m.cols, [list(m.data[r]) for r in rows])
+    rows = list(rows)
+    return ExactMatrix(m.field, len(rows), m.cols, m.data[rows])
+
+
+def free_columns(n, pivots):
+    """The columns 0..n-1 that are not pivots, ascending, as an index array."""
+    is_free = np.ones(n, dtype=bool)
+    is_free[list(pivots)] = False
+    return np.flatnonzero(is_free)
 
 
 def kernel_data(m):
@@ -563,17 +527,11 @@ def kernel_data(m):
     if m.rows == 0:
         return ExactMatrix.identity(f, n), tuple(range(n))
     R, piv = rref(m)
-    free = tuple(c for c in range(n) if c not in set(piv))
+    free = free_columns(n, piv)
     k = ExactMatrix.zeros(f, n, len(free))
-    if f.is_prime_field:
-        k.data[list(free), np.arange(len(free))] = 1
-        k.data[list(piv), :] = (-R.data[:len(piv), list(free)]) % f.p
-    else:
-        for idx, fc in enumerate(free):
-            k.data[fc][idx] = Fraction(1)
-            for i, pc in enumerate(piv):
-                k.data[pc][idx] = -R.data[i][fc]
-    return k, free
+    k.data[free, np.arange(len(free))] = f.one()
+    k.data[list(piv)] = f.reduce(-R.data[:len(piv), free])
+    return k, tuple(free.tolist())
 
 
 def kernel_matrix(m):
@@ -623,59 +581,22 @@ def reduce_mod_span(v, basis):
 
 
 def mat_det(m):
-    """Determinant of a square matrix (unblocked; used on small matrices)."""
+    """Determinant of a square matrix by Gaussian elimination (small matrices)."""
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    n = m.rows
     f = m.field
-    if n == 0:
-        return f.one()
-    if f.is_prime_field:
-        p = f.p
-        a = m.data.copy() % p
-        det = 1
-        for c in range(n):
-            nz = np.nonzero(a[c:, c])[0]
-            if nz.size == 0:
-                return 0
-            i = c + int(nz[0])
-            if i != c:
-                a[[c, i], :] = a[[i, c], :]
-                det = (-det) % p
-            v = int(a[c, c])
-            det = (det * v) % p
-            inv = pow(v, p - 2, p)
-            below = a[c + 1:, c]
-            if below.size:
-                a[c + 1:, c:] = (a[c + 1:, c:] - np.outer((below * inv) % p, a[c, c:])) % p
-        return det % p
-    # Bareiss over integers after clearing denominators, scale back at the end
-    rows = [list(r) for r in m.data]
-    scale = Fraction(1)
-    ints = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        scale *= den
-        ints.append([int(x * den) for x in row])
-    sign = 1
-    prev = 1
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if ints[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            ints[c], ints[pr] = ints[pr], ints[c]
-            sign = -sign
-        piv = ints[c][c]
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                ints[i][j] = (piv * ints[i][j] - ints[i][c] * ints[c][j]) // prev
-            ints[i][c] = 0
-        prev = piv
-    return Fraction(sign * prev) / scale
+    a = m.to_lists()
+    det = f.one()
+    for c in range(m.rows):
+        i = next((i for i in range(c, m.rows) if not f.is_zero(a[i][c])), None)
+        if i is None:
+            return f.zero()
+        if i != c:
+            a[c], a[i] = a[i], a[c]
+            det = f.neg(det)
+        det = f.mul(det, a[c][c])
+        inv = f.inv(a[c][c])
+        for r in range(c + 1, m.rows):
+            x = f.mul(a[r][c], inv)
+            a[r] = [f.sub(y, f.mul(x, z)) for y, z in zip(a[r], a[c])]
+    return det

@@ -20,9 +20,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .exactcore import (ExactMatrix, kernel_data, mat_hstack, mat_rank,
-                        mat_vstack, rref)
-from .bipoly import StrandMap, mul_matrix, strand_dim
+from .exactcore import ExactMatrix, free_columns, kernel_data, mat_rank, mat_vstack, rref
+from .bipoly import StrandMap, _scatter, _term_columns, mul_matrix, strand_dim
 from .combinat import chi, nd
 
 
@@ -54,83 +53,25 @@ class InverseStrandBasis:
         return f"st-deg {self.st_deg} x inv-uv order {self.uv_order}"
 
 
-def _term_columns(f):
-    """(al, be, ga, de, coef) of the terms of f over GF(p), each an int64
-    column of shape (terms, 1); coef is reduced mod p."""
-    t = np.array([e + (int(c),) for e, c in f.coeffs.items()],
-                 dtype=np.int64).reshape(-1, 5)
-    t[:, 4] %= f.field.p
-    return t.T[:, :, None]
+def _inverse_block(f, src: InverseStrandBasis):
+    """Multiplication by f on the inverse-strand space src.
 
-
-def _scatter(mat, ok, rows, coef):
-    """mat[rows[t, j], j] = coef[t] wherever ok[t, j].
-
-    In one column the term fixes the target monomial (al and ga determine
-    it), so no two terms write the same cell and assignment is exact.
+    The polynomial factor (s,t unless src is flipped) gains the exponents of
+    a term, the inverse factor loses them, and a term whose contraction
+    leaves the allowed range sends the basis element to zero.
     """
-    cols = np.broadcast_to(np.arange(mat.shape[1]), ok.shape)
-    mat[rows[ok], cols[ok]] = np.broadcast_to(coef, ok.shape)[ok]
-
-
-def _v1_block(f, src: InverseStrandBasis):
-    """Multiplication by f on (st polynomials) x (inverse uv powers)."""
-    fld = f.field
-    d1, d2 = f.degree
-    tgt = InverseStrandBasis(src.st_deg + d1, src.uv_order - d2)
-    nrows, ncols = tgt.dim, src.dim
-    if fld.is_prime_field:
-        mat = np.zeros((nrows, ncols), dtype=np.int64)
-        if nrows and ncols:
-            idx = np.arange(ncols)
-            c = src.st_deg - idx // (src.uv_order + 1)
-            i = src.uv_order - idx % (src.uv_order + 1)
-            al, be, ga, de, coef = _term_columns(f)
-            ok = (i >= ga) & (src.uv_order - i >= de)
-            rows = ((tgt.st_deg - (c + al)) * (tgt.uv_order + 1)
-                    + (tgt.uv_order - (i - ga)))
-            _scatter(mat, ok, rows, coef)
-        return ExactMatrix(fld, nrows, ncols, mat)
-    m = ExactMatrix.zeros(fld, nrows, ncols)
-    for col in range(ncols):
-        c = src.st_deg - col // (src.uv_order + 1)
-        i = src.uv_order - col % (src.uv_order + 1)
-        for (al, be, ga, de), coef in f.coeffs.items():
-            if i >= ga and src.uv_order - i >= de:
-                row = ((tgt.st_deg - (c + al)) * (tgt.uv_order + 1)
-                       + (tgt.uv_order - (i - ga)))
-                m.set(row, col, fld.add(m.get(row, col), coef))
-    return m
-
-
-def _v2_block(f, src: InverseStrandBasis):
-    """Multiplication by f on (inverse st powers) x (uv polynomials)."""
-    fld = f.field
-    d1, d2 = f.degree
-    tgt = InverseStrandBasis(src.st_deg - d1, src.uv_order + d2, flipped=True)
-    nrows, ncols = tgt.dim, src.dim
-    if fld.is_prime_field:
-        mat = np.zeros((nrows, ncols), dtype=np.int64)
-        if nrows and ncols:
-            idx = np.arange(ncols)
-            i = src.st_deg - idx // (src.uv_order + 1)
-            k = src.uv_order - idx % (src.uv_order + 1)
-            al, be, ga, de, coef = _term_columns(f)
-            ok = (i >= al) & (src.st_deg - i >= be)
-            rows = ((tgt.st_deg - (i - al)) * (tgt.uv_order + 1)
-                    + (tgt.uv_order - (k + ga)))
-            _scatter(mat, ok, rows, coef)
-        return ExactMatrix(fld, nrows, ncols, mat)
-    m = ExactMatrix.zeros(fld, nrows, ncols)
-    for col in range(ncols):
-        i = src.st_deg - col // (src.uv_order + 1)
-        k = src.uv_order - col % (src.uv_order + 1)
-        for (al, be, ga, de), coef in f.coeffs.items():
-            if i >= al and src.st_deg - i >= be:
-                row = ((tgt.st_deg - (i - al)) * (tgt.uv_order + 1)
-                       + (tgt.uv_order - (k + ga)))
-                m.set(row, col, fld.add(m.get(row, col), coef))
-    return m
+    sign = -1 if src.flipped else 1
+    tgt = InverseStrandBasis(src.st_deg + sign * f.degree[0],
+                             src.uv_order - sign * f.degree[1], src.flipped)
+    mat = f.field.zeros((tgt.dim, src.dim))
+    if mat.size and f.coeffs:
+        idx = np.arange(src.dim)
+        al, be, ga, de, coef = _term_columns(f)
+        x = src.st_deg - idx // (src.uv_order + 1) + sign * al
+        y = src.uv_order - idx % (src.uv_order + 1) - sign * ga
+        ok = (x >= 0) & (x <= tgt.st_deg) & (y >= 0) & (y <= tgt.uv_order)
+        _scatter(mat, ok, (tgt.st_deg - x) * (tgt.uv_order + 1) + (tgt.uv_order - y), coef)
+    return ExactMatrix(f.field, tgt.dim, src.dim, mat)
 
 
 def _phi_sources(d, a):
@@ -153,18 +94,11 @@ def phi_matrices(sys, a):
     src1, src2 = _phi_sources(sys.d, a)
     tgt1 = InverseStrandBasis(a1 - 2 * d1, 2 * d2 - a2 - 2)
     tgt2 = InverseStrandBasis(2 * d1 - a1 - 2, a2 - 2 * d2, flipped=True)
-    m1 = mat_vstack(sys.field, [_v1_block(f, src1) for f in sys.polys])
-    m2 = mat_vstack(sys.field, [_v2_block(f, src2) for f in sys.polys])
+    m1 = mat_vstack(sys.field, [_inverse_block(f, src1) for f in sys.polys])
+    m2 = mat_vstack(sys.field, [_inverse_block(f, src2) for f in sys.polys])
     phi1 = StrandMap(m1, src1.describe(), "3 x (" + tgt1.describe() + ")")
     phi2 = StrandMap(m2, src2.describe(), "3 x (" + tgt2.describe() + ")")
     return phi1, phi2
-
-
-def _mat_neg(m):
-    f = m.field
-    if f.is_prime_field:
-        return ExactMatrix(f, m.rows, m.cols, (-m.data) % f.p)
-    return ExactMatrix(f, m.rows, m.cols, [[-x for x in row] for row in m.data])
 
 
 # ------------------------------------------------------------- strand store
@@ -188,40 +122,44 @@ def _per_system(build):
     return record
 
 
+def _generators_transposed(sys, src):
+    """The transpose of [f0 f1 f2] from three copies of strand src, written
+    as one array, a block of rows per form."""
+    fld = sys.field
+    ns, n = strand_dim(src), strand_dim((src[0] + sys.d[0], src[1] + sys.d[1]))
+    mat = fld.zeros((3 * ns, n))
+    for k, f in enumerate(sys.polys):
+        mat[k * ns:(k + 1) * ns] = mul_matrix(f, src).matrix.data.T
+    return ExactMatrix(fld, 3 * ns, n, mat)
+
+
 @_per_system
 def _quotient_echelon(sys, b):
-    """(free, free_pos, piv_pos, tail_free) of the quotient strand (R/I)_b.
+    """(free, free_pos, piv_pos, neg_tail) of the quotient strand (R/I)_b.
 
-    The transpose of [f0 f1 f2] into R_b is echelonized: pivot monomials
-    reduce to minus a tail over the free (quotient basis) monomials, so
-    multiplication by a variable is a row lookup, not a solve.  free_pos and
-    piv_pos map a monomial index to its position among free or pivot
-    monomials, -1 elsewhere.
+    The transpose of [f0 f1 f2] into R_b is echelonized: a pivot monomial
+    equals its row of neg_tail (one column per free monomial) over the free
+    (quotient basis) monomials, so multiplication by a variable is a row
+    lookup, not a solve.  free_pos and piv_pos map a monomial index to its
+    position among free or pivot monomials, -1 elsewhere.
     """
     fld = sys.field
     n = strand_dim(b)
     if n == 0:
-        return (), np.full(1, -1), np.full(1, -1), None
+        return np.zeros(0, dtype=np.intp), np.full(1, -1), np.full(1, -1), None
     src = (b[0] - sys.d[0], b[1] - sys.d[1])
-    if strand_dim(src) == 0:
-        piv, free = (), tuple(range(n))
-        tail = ExactMatrix.zeros(fld, 0, n)
-    else:
-        # unnamed, [f0 f1 f2] is freed once transposed: only the transpose
-        # is alive while it is eliminated
-        tail, piv = rref(mat_hstack(fld, [mul_matrix(f, src).matrix
-                                          for f in sys.polys]).transpose())
-        free = tuple(c for c in range(n) if c not in set(piv))
+    echelon, piv = fld.zeros((0, n)), ()
+    if strand_dim(src):
+        # unnamed, the generator strand is freed as soon as it is eliminated
+        R, piv = rref(_generators_transposed(sys, src))
+        echelon = R.data
+    free = free_columns(n, piv)
     free_pos = np.full(n, -1, dtype=np.int64)
     piv_pos = np.full(n, -1, dtype=np.int64)
-    free_pos[list(free)] = np.arange(len(free))
+    free_pos[free] = np.arange(len(free))
     piv_pos[list(piv)] = np.arange(len(piv))
-    r = len(piv)
-    if fld.is_prime_field:
-        data = tail.data[:r, list(free)]
-    else:
-        data = [[row[c] for c in free] for row in tail.data[:r]]
-    return free, free_pos, piv_pos, ExactMatrix(fld, r, len(free), data)
+    neg_tail = fld.reduce(-echelon[:len(piv), free])
+    return free, free_pos, piv_pos, ExactMatrix(fld, len(piv), len(free), neg_tail)
 
 
 @dataclass(frozen=True)
@@ -251,39 +189,36 @@ def _phi_kernels(sys, a):
                  for src, phi in zip(_phi_sources(sys.d, a), phi_matrices(sys, a)))
 
 
+# (row block, column block, form, sign) of the blocks of delta2 and delta3
+_DELTA2 = ((0, 0, 1, 1), (0, 1, 2, 1), (1, 0, 0, -1), (1, 2, 2, 1),
+           (2, 1, 0, -1), (2, 2, 1, -1))
+_DELTA3 = ((0, 0, 2, -1), (1, 0, 1, 1), (2, 0, 0, -1))
+
+
 def _koszul_strands(sys, a):
     """Strand matrices (delta2, delta3) of the length-3 Koszul complex.
 
     Exterior basis order e01, e02, e12 in the middle; signs follow
     delta1 = [f0 f1 f2], delta2 = [[f1, f2, 0], [-f0, 0, f2], [0, -f0, -f1]],
     delta3 = (-f2, f1, -f0).  delta1 is the generator strand that
-    _quotient_echelon eliminates, so it is not built here.
+    _quotient_echelon eliminates, so it is not built here.  Each matrix is
+    one preallocated array; the multiplication blocks are written into it
+    at their offsets with their signs.
     """
     fld = sys.field
     d1, d2 = sys.d
-    a1, a2 = a
-    f0, f1, f2 = sys.polys
-
-    def mmat(g, b, target):
-        if strand_dim(b) == 0:
-            return ExactMatrix.zeros(fld, strand_dim(target), 0)
-        return mul_matrix(g, b).matrix
-
-    def zmat(b, target):
-        return ExactMatrix.zeros(fld, strand_dim(target), strand_dim(b))
-
-    b1 = (a1 - d1, a2 - d2)
-    b2 = (a1 - 2 * d1, a2 - 2 * d2)
-    b3 = (a1 - 3 * d1, a2 - 3 * d2)
-    delta2 = mat_vstack(fld, [
-        mat_hstack(fld, [mmat(f1, b2, b1), mmat(f2, b2, b1), zmat(b2, b1)]),
-        mat_hstack(fld, [_mat_neg(mmat(f0, b2, b1)), zmat(b2, b1), mmat(f2, b2, b1)]),
-        mat_hstack(fld, [zmat(b2, b1), _mat_neg(mmat(f0, b2, b1)),
-                         _mat_neg(mmat(f1, b2, b1))]),
-    ])
-    delta3 = mat_vstack(fld, [_mat_neg(mmat(f2, b3, b2)), mmat(f1, b3, b2),
-                              _mat_neg(mmat(f0, b3, b2))])
-    return delta2, delta3
+    out = []
+    for k, blocks, shape in ((2, _DELTA2, (3, 3)), (3, _DELTA3, (3, 1))):
+        src = (a[0] - k * d1, a[1] - k * d2)
+        nt, ns = strand_dim((src[0] + d1, src[1] + d2)), strand_dim(src)
+        mat = fld.zeros((shape[0] * nt, shape[1] * ns))
+        if mat.size:
+            mul = [mul_matrix(f, src).matrix.data for f in sys.polys]
+            for i, j, form, sign in blocks:
+                mat[i * nt:(i + 1) * nt, j * ns:(j + 1) * ns] = \
+                    mul[form] if sign > 0 else fld.reduce(-mul[form])
+        out.append(ExactMatrix(fld, *mat.shape, mat))
+    return tuple(out)
 
 
 @_per_system

@@ -3,10 +3,12 @@
 import json
 import os
 import random
+from fractions import Fraction
 
 from bigres.exactcore import GF, ExactMatrix, mat_rank
 from bigres.bipoly import BiPoly, SystemF, strand_basis
 from bigres.segre import basepoint_free
+from bigres.strands import InverseStrandBasis
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -54,3 +56,40 @@ def multiset(pairs):
     for a, m in pairs:
         out[tuple(a)] = out.get(tuple(a), 0) + m
     return {k: v for k, v in out.items() if v}
+
+
+def inverse_block_oracle(f, src):
+    """Multiplication by f on an inverse-strand space, one term and one
+    column at a time; the reference for strands._inverse_block."""
+    fld = f.field
+    d1, d2 = f.degree
+    if src.flipped:
+        tgt = InverseStrandBasis(src.st_deg - d1, src.uv_order + d2, flipped=True)
+    else:
+        tgt = InverseStrandBasis(src.st_deg + d1, src.uv_order - d2)
+    m = ExactMatrix.zeros(fld, tgt.dim, src.dim)
+    for col in range(src.dim):
+        # s- and u-exponents of the source element: a polynomial and an
+        # inverse exponent, or the reverse when src is flipped
+        x = src.st_deg - col // (src.uv_order + 1)
+        y = src.uv_order - col % (src.uv_order + 1)
+        for (al, be, ga, de), coef in f.coeffs.items():
+            if src.flipped:
+                if x < al or src.st_deg - x < be:
+                    continue
+                row = ((tgt.st_deg - (x - al)) * (tgt.uv_order + 1)
+                       + (tgt.uv_order - (y + ga)))
+            else:
+                if y < ga or src.uv_order - y < de:
+                    continue
+                row = ((tgt.st_deg - (x + al)) * (tgt.uv_order + 1)
+                       + (tgt.uv_order - (y - ga)))
+            m.set(row, col, fld.add(m.get(row, col), coef))
+    return m
+
+
+def mod_p(x, p):
+    """A rational (or integer) x as a residue mod p; p must not divide its
+    denominator."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p

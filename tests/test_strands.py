@@ -1,18 +1,23 @@
 """Strand-level homology: two independent routes must agree degree by degree."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bigres.exactcore import GF, QQ, ExactMatrix, mat_hstack, mat_rank, mat_vstack
+from bigres.exactcore import (GF, QQ, ExactMatrix, kernel_data, mat_from_cols, mat_hstack,
+                              mat_mul, mat_rank, mat_select_rows, mat_vstack, rref)
 from bigres.bipoly import BiPoly, SystemF, mul_matrix, strand_dim
 from bigres.combinat import chi, cod, dom, nd
-from bigres.strands import (_phi_sources, _v1_block, _v2_block, critical_ranges,
+from bigres.strands import (_inverse_block, _koszul_strands, _phi_sources,
+                            _quotient_echelon, critical_ranges,
                             h1_dim, h1_support_box, hf_quotient, is_generic,
                             koszul_strand_homology, phi_matrices)
+from bigres.betti import _H1Strands, _QuotientStrands
 from bigres.cli import load_system
-from helpers import data_path, random_bpf_system
+from helpers import (data_path, inverse_block_oracle, mod_p, random_bpf_system,
+                     random_system)
 
 FLD = GF()
 
@@ -34,22 +39,60 @@ def test_phi_dimensions_match_combinatorics():
 
 @pytest.mark.parametrize("d", [(1, 2), (2, 3)])
 def test_phi_blocks_prime_field_match_rationals(d):
-    # the GF(p) builders scatter all terms at once; the Fraction branch adds
-    # term by term, so its blocks reduced mod p are the reference
+    # the builder scatters all terms at once; the oracle adds them term by
+    # term.  Over Q and GF(p) it must equal the oracle, the GF(p) blocks must
+    # be the Q blocks mod p, and so must the module actions built on them.
     p = 32003
     rng = random.Random(d[0] + 5 * d[1])
     vecs = [[rng.randint(-3 * p, 3 * p) for _ in range(strand_dim(d))] for _ in range(3)]
     pairs = [[BiPoly.from_vector(fld, d, v) for fld in (QQ, GF(p))] for v in vecs]
     for a1 in range(4 * d[0] + 1):
         for a2 in range(4 * d[1] + 1):
-            src1, src2 = _phi_sources(d, (a1, a2))
-            for block, src in ((_v1_block, src1), (_v2_block, src2)):
+            for src in _phi_sources(d, (a1, a2)):
                 for fq, fp in pairs:
-                    want = block(fq, src)
-                    got = block(fp, src)
-                    assert (got.rows, got.cols) == (want.rows, want.cols)
-                    assert got.to_lists() == [[int(x) % p for x in row]
+                    want = inverse_block_oracle(fq, src)
+                    got = _inverse_block(fp, src)
+                    assert _inverse_block(fq, src) == want, (a1, a2)
+                    assert got == inverse_block_oracle(fp, src), (a1, a2)
+                    assert got.to_lists() == [[mod_p(x, p) for x in row]
                                               for row in want.to_lists()], (a1, a2)
+    # small coefficients keep the exact eliminations behind the actions cheap
+    rng = random.Random(7 * d[0] + d[1])
+    sq = random_system(QQ, d, rng)
+    sp = SystemF(GF(p), d, [BiPoly(GF(p), d, f.coeffs) for f in sq.polys])
+    for provider in (_QuotientStrands, _H1Strands):
+        pq, pp = provider(sq), provider(sp)
+        for a1 in range(2 * d[0] + 3):
+            for a2 in range(2 * d[1] + 3):
+                for xi in range(4):
+                    want = pq.action(xi, (a1, a2)).to_lists()
+                    got = pp.action(xi, (a1, a2)).to_lists()
+                    assert got == [[mod_p(x, p) for x in row] for row in want], \
+                        (provider.__name__, a1, a2, xi)
+
+
+@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+def test_builders_return_field_dtype(fld):
+    # one representation: every builder hands back a 2-D ndarray of the
+    # field's dtype, with Python ints or Fractions as its entries
+    sys_ = random_bpf_system(fld, (1, 2), random.Random(9))
+    src1, src2 = _phi_sources(sys_.d, (4, 2))[0], _phi_sources(sys_.d, (0, 6))[1]
+    m = ExactMatrix.from_rows(fld, [[1, 2, 0], [0, 3, 4]])
+    mats = [m, ExactMatrix.zeros(fld, 2, 3), ExactMatrix.identity(fld, 3),
+            m.transpose(), m.copy(), mat_mul(m, m.transpose()),
+            mat_hstack(fld, [m, m]), mat_vstack(fld, [m, m]),
+            mat_select_rows(m, [1, 0]), mat_from_cols(fld, [[1, 2]], 2),
+            rref(m)[0], kernel_data(m)[0], mul_matrix(sys_.polys[0], (1, 2)).matrix,
+            phi_matrices(sys_, (4, 2))[0].matrix, phi_matrices(sys_, (0, 6))[1].matrix,
+            _inverse_block(sys_.polys[0], src1), _inverse_block(sys_.polys[0], src2),
+            *_koszul_strands(sys_, (5, 6)), _quotient_echelon(sys_, (1, 2))[3]]
+    mats += [_QuotientStrands(sys_).action(xi, (1, 2)) for xi in range(4)]
+    mats += [_H1Strands(sys_).action(xi, (1, 6)) for xi in (2, 3)]
+    scalar = int if fld.is_prime_field else Fraction
+    for k, mat in enumerate(mats):
+        assert isinstance(mat.data, np.ndarray) and mat.data.dtype == fld.dtype, k
+        assert mat.data.shape == (mat.rows, mat.cols) and mat.data.size, k
+        assert all(type(x) is scalar for row in mat.to_lists() for x in row), k
 
 
 @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 2)])
