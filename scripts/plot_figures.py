@@ -11,20 +11,8 @@ import argparse
 import pathlib
 
 from bigres.exactcore import GF
-from bigres.strands import h1_dim
-from bigres.betti import betti_table, nonkoszul_beta1
 from bigres.lab import ExperimentConfig, sample_system
-from bigres.cli import PlotSpec, emit_svg
-
-
-def scatter(sys_, box):
-    d = sys_.d
-    support = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)
-               if h1_dim(sys_, (a1, a2)) > 0]
-    degrees = sorted(set(support) | {(2 * d[0], 2 * d[1])})
-    table = betti_table(sys_, degrees=degrees)
-    return [(a[0], a[1], m) for a, m in nonkoszul_beta1(table, d).items()
-            if a[0] <= box[0] and a[1] <= box[1]]
+from bigres.cli import PlotSpec, emit_svg, plot_points
 
 
 def main():
@@ -46,7 +34,7 @@ def main():
         cfg = ExperimentConfig(d, trials=1, field=GF(args.p), seed=args.seed,
                                box=box)
         sys_ = sample_system(cfg)
-        points = scatter(sys_, box)
+        points = plot_points(sys_, box)
         path = args.out / f"beta1_{d[0]}_{d[1]}.svg"
         emit_svg(PlotSpec(points, d, box), path)
         print(f"wrote {path} ({len(points)} markers)")

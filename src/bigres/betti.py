@@ -12,6 +12,11 @@ reduce to minus a tail over the quotient basis monomials, so multiplication
 by a variable is a row lookup, not a solve.  H1 strands come from its phi
 kernel records and exploit the identity pattern of echelonized kernel bases:
 coordinates of a kernel vector are its entries at the free columns.
+
+Every block matrix here (Koszul differentials over the spots, the H1 action,
+resolution strands, the Hilbert-Burch span and the syz3star check) is
+assembled by exactcore.mat_from_blocks from multiplication blocks of the one
+term kernel in bipoly.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactcore import (ExactMatrix, kernel_data, mat_hstack, mat_mul, mat_rank,
-                        mat_vstack, rref)
+from .exactcore import (ExactMatrix, kernel_data, mat_from_blocks, mat_hstack, mat_mul,
+                        mat_rank, rref)
 from .bipoly import (BiPoly, BinaryForm, binary_from_bipoly, gcd_binary,
                      mul_matrix, split_st, strand_dim)
 from .strands import _inverse_block, _phi_kernels, _quotient_echelon, hf_quotient
@@ -83,16 +88,10 @@ class _H1Strands:
         bt = (b[0] + dx[0], b[1] + dx[1])
         x = BiPoly.variable(self.field, VAR_NAMES[xi])
         src, tgt = _phi_kernels(self.sys, b), _phi_kernels(self.sys, bt)
-        out = ExactMatrix.zeros(self.field, sum(k.nullity for k in tgt),
-                                sum(k.nullity for k in src))
-        r0 = c0 = 0
-        for ks, kt in zip(src, tgt):
-            if ks.nullity and kt.nullity:
-                image = mat_mul(_inverse_block(x, ks.src), ks.kernel).data
-                out.data[r0:r0 + kt.nullity, c0:c0 + ks.nullity] = image[list(kt.free)]
-            r0 += kt.nullity
-            c0 += ks.nullity
-        return out
+        blocks = {(k, k): mat_mul(_inverse_block(x, ks.src), ks.kernel).data[list(kt.free)]
+                  for k, (ks, kt) in enumerate(zip(src, tgt)) if ks.nullity and kt.nullity}
+        return mat_from_blocks(self.field, [k.nullity for k in tgt],
+                               [k.nullity for k in src], blocks)
 
 
 def _koszul_module_homology(provider, a):
@@ -100,34 +99,29 @@ def _koszul_module_homology(provider, a):
 
     The complex at bidegree a has spots indexed by subsets S of {s,t,u,v};
     d(e_S (x) m) = sum_l (-1)^(l-1) e_(S minus x_l) (x) x_l m.  Each
-    differential is one preallocated array; the action blocks are written
-    into it at the offsets of their spots, negated where the sign is.
+    differential is one block matrix over the spots, with the action blocks
+    negated where the sign is.  All dims are read before any action is
+    built.
     """
     f = provider.field
     subsets = [list(combinations(range(4), j)) for j in range(5)]
-    shifted, dim, offset, dims = {}, {}, {}, []
-    for group in subsets:
-        n = 0
-        for S in group:
-            shifted[S] = (a[0] - sum(VAR_DEGREES[i][0] for i in S),
-                          a[1] - sum(VAR_DEGREES[i][1] for i in S))
-            dim[S] = provider.dim(shifted[S])
-            offset[S] = n
-            n += dim[S]
-        dims.append(n)
+    shifted = {S: (a[0] - sum(VAR_DEGREES[i][0] for i in S),
+                   a[1] - sum(VAR_DEGREES[i][1] for i in S))
+               for group in subsets for S in group}
+    dim = {S: provider.dim(shifted[S]) for group in subsets for S in group}
     ranks = [0]
     for j in range(1, 5):
-        mat = f.zeros((dims[j - 1], dims[j]))
-        for Sc in subsets[j]:
-            c0, c1 = offset[Sc], offset[Sc] + dim[Sc]
+        blocks = {}
+        for c, Sc in enumerate(subsets[j]):
             for l, xi in enumerate(Sc):
                 Sr = tuple(x for x in Sc if x != xi)
                 if dim[Sc] and dim[Sr]:
                     blk = provider.action(xi, shifted[Sc]).data
-                    mat[offset[Sr]:offset[Sr] + dim[Sr], c0:c1] = \
-                        f.reduce(-blk) if l % 2 else blk
-        ranks.append(mat_rank(ExactMatrix(f, *mat.shape, mat)))
+                    blocks[subsets[j - 1].index(Sr), c] = f.reduce(-blk) if l % 2 else blk
+        ranks.append(mat_rank(mat_from_blocks(f, [dim[S] for S in subsets[j - 1]],
+                                              [dim[S] for S in subsets[j]], blocks)))
     ranks.append(0)
+    dims = [sum(dim[S] for S in group) for group in subsets]
     return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(5))
 
 
@@ -416,30 +410,21 @@ def hb_kernel(q, degree=None):
                          "syzygy module is not free of rank m-1 here")
     found = []
     for b in range(0, 3 * n + 1):
-        target_rows = n + b + 1
         stacked = mat_hstack(fld, [mul_matrix(qq.to_bipoly(), (0, b)).matrix for qq in q])
         kern = kernel_data(stacked)[0]
         if kern.cols:
-            old_cols = []
-            for gen, bk in found:
-                for al in range(b - bk, -1, -1):
-                    vec = [fld.zero()] * (m * (b + 1))
-                    for l in range(m):
-                        for e, c in enumerate(gen[l].coeffs):
-                            j = e + al
-                            vec[l * (b + 1) + (b - j)] = c
-                    old_cols.append(vec)
-            span = ExactMatrix.from_rows(fld, old_cols).transpose() if old_cols \
-                else ExactMatrix.zeros(fld, m * (b + 1), 0)
-            merged = mat_hstack(fld, [span, kern])
-            _, piv = rref(merged)
+            # multiples of the generators found so far: the degree-b strand
+            # of each column [gen_0; ...; gen_(m-1)]
+            blocks = {(l, c): mul_matrix(gen[l].to_bipoly(), (0, b - bk)).matrix.data
+                      for c, (gen, bk) in enumerate(found) for l in range(m)}
+            span = mat_from_blocks(fld, [b + 1] * m, [b - bk + 1 for _, bk in found], blocks)
+            _, piv = rref(mat_hstack(fld, [span, kern]))
             for j in range(kern.cols):
                 if span.cols + j in piv:
                     col = kern.col(j)
-                    gen = []
-                    for l in range(m):
-                        coeffs = [col[l * (b + 1) + (b - jj)] for jj in range(b + 1)]
-                        gen.append(BinaryForm(fld, b, coeffs))
+                    # strand rows run u-exponent descending, BinaryForm ascending
+                    gen = [BinaryForm(fld, b, col[l * (b + 1):(l + 1) * (b + 1)][::-1])
+                           for l in range(m)]
                     found.append((gen, b))
         if len(found) >= m - 1:
             break
@@ -542,17 +527,10 @@ def syz3star(sys):
         raise ArithmeticError("M . K^t != 0")
     for k in range(5):
         bk = hb.column_degrees[k]
-        blocks = []
-        for r in range(4):
-            row_blocks = []
-            for cdx in range(9):
-                entry = Mrows[r][cdx]
-                if entry is None:
-                    row_blocks.append(ExactMatrix.zeros(fld, 2 * n - bk + 1, n - bk + 1))
-                else:
-                    row_blocks.append(mul_matrix(entry.to_bipoly(), (0, n - bk)).matrix)
-            blocks.append(mat_hstack(fld, row_blocks))
-        strand = mat_vstack(fld, blocks)
+        strand = mat_from_blocks(fld, [2 * n - bk + 1] * 4, [n - bk + 1] * 9,
+                                 {(r, c): mul_matrix(e, (0, n - bk)).matrix.data
+                                  for r, row in enumerate(Mpoly)
+                                  for c, e in enumerate(row) if e is not None})
         vec = []
         for cdx in range(9):
             bf = krows[k][cdx]
@@ -598,22 +576,12 @@ class ResolutionComplex:
 
     def strand(self, j, a):
         """Matrix of differential j on the degree-a strand."""
-        fld = self.sys.field
-        rows = self.shifts[j - 1]
-        cols = self.shifts[j]
-        blocks = []
-        for r, sr in enumerate(rows):
-            row_blocks = []
-            tdim = strand_dim((a[0] - sr[0], a[1] - sr[1]))
-            for c, sc in enumerate(cols):
-                b = (a[0] - sc[0], a[1] - sc[1])
-                e = self.diffs[j - 1][r][c]
-                if e is None or e.is_zero() or strand_dim(b) == 0 or tdim == 0:
-                    row_blocks.append(ExactMatrix.zeros(fld, tdim, strand_dim(b)))
-                else:
-                    row_blocks.append(mul_matrix(e, b).matrix)
-            blocks.append(mat_hstack(fld, row_blocks))
-        return mat_vstack(fld, blocks)
+        src = [(a[0] - s[0], a[1] - s[1]) for s in self.shifts[j]]
+        tgt_dims = [strand_dim((a[0] - s[0], a[1] - s[1])) for s in self.shifts[j - 1]]
+        blocks = {(r, c): mul_matrix(e, src[c]).matrix.data
+                  for r, row in enumerate(self.diffs[j - 1]) for c, e in enumerate(row)
+                  if e is not None and not e.is_zero() and strand_dim(src[c])}
+        return mat_from_blocks(self.sys.field, tgt_dims, [strand_dim(b) for b in src], blocks)
 
     def strand_dims(self, a):
         return [sum(strand_dim((a[0] - s[0], a[1] - s[1])) for s in shifts)

@@ -3,6 +3,9 @@
 Monomials are exponent tuples (es, et, eu, ev).  The canonical basis of the
 degree-(a1,a2) strand lists s-exponent descending, then u-exponent
 descending; all matrices in the package index strands in that order.
+Multiplication matrices on polynomial strands (mul_matrix) and on the
+inverse-power spaces of strands share one term kernel, _product, which
+alone maps a product term to its row.
 
 Canonical text form of a polynomial: terms in basis order, each rendered as
 coeff*s^i*t^j*u^k*v^l with every variable present and "^1" omitted; the zero
@@ -168,23 +171,38 @@ class StrandMap:
         return self.matrix.cols
 
 
-def _term_columns(f):
-    """(al, be, ga, de, coef) of the terms of f, each a column of shape
-    (terms, 1): exponents as int64, coefficients of the field's dtype."""
-    expts = np.array(list(f.coeffs), dtype=np.int64).reshape(-1, 4)
-    coef = np.array(list(f.coeffs.values()), dtype=f.field.dtype).reshape(-1, 1)
-    return (*expts.T[:, :, None], coef)
+def _product(g, src, sign):
+    """Array of multiplication by g from the space src to its target; the
+    one place where a product term is mapped to its target row.
 
-
-def _scatter(mat, ok, rows, coef):
-    """mat[rows[t, j], j] = coef[t] wherever ok[t, j].
-
-    Callers pass one row per (term t, source column j) in which the term
-    fixes the target monomial, so no two terms write the same cell and
-    assignment is exact.
+    src = (X, Y).  Along s,t the space is polynomial (sign +1: s^x t^(X-x))
+    or inverse (sign -1: 1/(s^(x+1) t^(X-x+1))), and likewise along u,v with
+    y and Y; element (x, y) sits at (X - x)(Y + 1) + (Y - y), the
+    strand_basis order, and a negative X or Y gives the zero space.  A term
+    of g raises a polynomial factor by its exponents and contracts an
+    inverse one, sending the element to zero when the contraction leaves the
+    range of the target.  The target is (X + sign[0] deg1 g, Y + sign[1] deg2 g).
     """
-    cols = np.broadcast_to(np.arange(mat.shape[1]), ok.shape)
-    mat[rows[ok], cols[ok]] = np.broadcast_to(coef, ok.shape)[ok]
+    (X, Y), (sx, sy) = src, sign
+    tx, ty = X + sx * g.degree[0], Y + sy * g.degree[1]
+    mat = g.field.zeros((strand_dim((tx, ty)), strand_dim(src)))
+    if mat.size and g.coeffs:
+        expts = np.array(list(g.coeffs), dtype=np.int64).reshape(-1, 4)
+        coef = np.array(list(g.coeffs.values()), dtype=g.field.dtype)[:, None]
+        idx = np.arange(mat.shape[1])
+        # one row per term, one column per source element
+        x = X - idx // (Y + 1) + sx * expts[:, :1]
+        y = Y - idx % (Y + 1) + sy * expts[:, 2:3]
+        ok = np.ones(x.shape, dtype=bool)
+        for z, sz, top in ((x, sx, tx), (y, sy, ty)):
+            if sz < 0:
+                ok &= (z >= 0) & (z <= top)
+        # within a column a term fixes its target row, so no two terms
+        # write the same cell and assignment is exact
+        cols = np.broadcast_to(idx, ok.shape)
+        rows = (tx - x) * (ty + 1) + (ty - y)
+        mat[rows[ok], cols[ok]] = np.broadcast_to(coef, ok.shape)[ok]
+    return mat
 
 
 def mul_matrix(g, b):
@@ -196,16 +214,9 @@ def mul_matrix(g, b):
     b1, b2 = b
     if b1 < 0 or b2 < 0:
         raise ValueError("source bidegree must be nonnegative")
-    f = g.field
     t1, t2 = b1 + g.degree[0], b2 + g.degree[1]
-    mat = f.zeros((strand_dim((t1, t2)), strand_dim(b)))
-    if mat.size and g.coeffs:
-        idx = np.arange(mat.shape[1])
-        al, be, ga, de, coef = _term_columns(g)
-        rows = ((t1 - (b1 - idx // (b2 + 1) + al)) * (t2 + 1)
-                + (t2 - (b2 - idx % (b2 + 1) + ga)))
-        _scatter(mat, np.ones(rows.shape, dtype=bool), rows, coef)
-    return StrandMap(ExactMatrix(f, *mat.shape, mat), f"R({b1},{b2})", f"R({t1},{t2})")
+    return StrandMap(ExactMatrix(g.field, _product(g, b, (1, 1))),
+                     f"R({b1},{b2})", f"R({t1},{t2})")
 
 
 @dataclass(eq=False)

@@ -100,6 +100,13 @@ def _pair(text, what):
         raise UsageError(f"{what} must be two comma-separated integers")
 
 
+def _box(text):
+    box = _pair(text, "--box")
+    if min(box) < 0:
+        raise UsageError("--box entries must be nonnegative")
+    return box
+
+
 def _value_grid(box, fn):
     return [[fn((a1, a2)) for a2 in range(box[1] + 1)]
             for a1 in range(box[0] + 1)]
@@ -147,6 +154,18 @@ def _boundary_segments(d, box):
             }
             segs.extend(table[code])
     return segs
+
+
+def plot_points(sys_, box):
+    """(a1, a2, beta) of the non-Koszul first syzygies in the box: the Betti
+    table is computed only on the H1 support and at 2d."""
+    d = sys_.d
+    support = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)
+               if h1_dim(sys_, (a1, a2)) > 0]
+    degrees = sorted(set(support) | {(2 * d[0], 2 * d[1])})
+    table = betti_table(sys_, degrees=degrees)
+    return [(a[0], a[1], m) for a, m in nonkoszul_beta1(table, d).items()
+            if a[0] <= box[0] and a[1] <= box[1]]
 
 
 def emit_svg(spec, path):
@@ -206,14 +225,14 @@ def emit_svg(spec, path):
 
 def cmd_nd(args, out):
     d = _pair(args.d, "--d")
-    box = _pair(args.box, "--box")
+    box = _box(args.box)
     out.write(render_grid(nd_grid(d, box)))
     return 0
 
 
 def cmd_chi(args, out):
     d = _pair(args.d, "--d")
-    box = _pair(args.box, "--box")
+    box = _box(args.box)
     for label, fn in (("chi", lambda a: chi(d, a)),
                       ("chi_plus", lambda a: pos_part(chi(d, a))),
                       ("chi_minus", lambda a: neg_part(chi(d, a))),
@@ -225,21 +244,21 @@ def cmd_chi(args, out):
 
 def cmd_h1(args, out):
     sys_ = load_system(args.file)
-    box = _pair(args.box, "--box")
+    box = _box(args.box)
     out.write(render_grid(_value_grid(box, lambda a: h1_dim(sys_, a))))
     return 0
 
 
 def cmd_hf(args, out):
     sys_ = load_system(args.file)
-    box = _pair(args.box, "--box")
+    box = _box(args.box)
     out.write(render_grid(_value_grid(box, lambda a: hf_quotient(sys_, a))))
     return 0
 
 
 def cmd_betti(args, out):
     sys_ = load_system(args.file)
-    box = _pair(args.box, "--box")
+    box = _box(args.box)
     convention = ("IdealConvention" if args.convention == "ideal"
                   else "QuotientConvention")
     table = betti_table(sys_, box=box, convention=convention)
@@ -287,7 +306,7 @@ def cmd_resolve(args, out):
 
 def cmd_generic(args, out):
     sys_ = load_system(args.file)
-    box = _pair(args.box, "--box") if args.box else None
+    box = _box(args.box) if args.box else None
     out.write(str(is_generic(sys_, box)) + "\n")
     return 0
 
@@ -297,7 +316,7 @@ def cmd_lab(args, out):
     cfg = labmod.ExperimentConfig(
         d=d, trials=args.trials, seed=args.seed,
         field=parse_field(args.field),
-        box=_pair(args.box, "--box") if args.box else None)
+        box=_box(args.box) if args.box else None)
     rep = labmod.generic_report(cfg, collect_grid=bool(args.csv))
     if args.csv:
         rep.write_csv(args.csv)
@@ -307,16 +326,9 @@ def cmd_lab(args, out):
 
 def cmd_plot(args, out):
     sys_ = load_system(args.file)
-    box = _pair(args.box, "--box")
-    d = sys_.d
-    support = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)
-               if h1_dim(sys_, (a1, a2)) > 0]
-    degrees = sorted(set(support) | {(2 * d[0], 2 * d[1])})
-    table = betti_table(sys_, degrees=degrees)
-    points = [(a[0], a[1], m) for a, m in nonkoszul_beta1(table, d).items()
-              if a[0] <= box[0] and a[1] <= box[1]]
-    spec = PlotSpec(points, d, box)
-    emit_svg(spec, args.output)
+    box = _box(args.box)
+    points = plot_points(sys_, box)
+    emit_svg(PlotSpec(points, sys_.d, box), args.output)
     out.write(f"wrote {args.output} ({len(points)} markers)\n")
     return 0
 

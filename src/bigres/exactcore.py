@@ -4,9 +4,11 @@ A matrix is one numpy array for both fields: int64 residues in [0, p) over
 GF(p), Fraction objects (dtype object) over Q.  FieldSpec holds the only
 facts that depend on the field (the dtype, the zero array and the reduction
 mod p), so products, stacking, kernels and determinants take one path.
-Elimination has one kernel per field, and both share one deterministic
-pivoting rule (first nonzero entry, columns scanned left to right), so
-ranks, kernels and reduced echelon forms are bit-reproducible:
+Block matrices, every strand matrix of the package among them, are
+assembled only by mat_from_blocks, the one place that computes block
+offsets.  Elimination has one kernel per field, and both share one
+deterministic pivoting rule (first nonzero entry, columns scanned left to
+right), so ranks, kernels and reduced echelon forms are bit-reproducible:
 
 * GF(p): elimination runs on a float64 copy with delayed reduction:
   entries are nonnegative integers, reduced mod p only just before use, and
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
@@ -153,20 +156,26 @@ def GF(p=DEFAULT_PRIME):
 class ExactMatrix:
     """Dense matrix over a FieldSpec.
 
-    data is a rows x cols numpy array of field.dtype: int64 residues over
-    GF(p), Fractions (dtype object) over Q.  get, row and to_lists return
-    Python ints or Fractions.  Empty shapes (0 x n, n x 0) are legal
-    throughout.
+    data is a 2-D numpy array of field.dtype: int64 residues over GF(p),
+    Fractions (dtype object) over Q; rows and cols read its shape.  get, row
+    and to_lists return Python ints or Fractions.  Empty shapes (0 x n,
+    n x 0) are legal throughout.
     """
 
     field: FieldSpec
-    rows: int
-    cols: int
     data: np.ndarray
+
+    @property
+    def rows(self):
+        return self.data.shape[0]
+
+    @property
+    def cols(self):
+        return self.data.shape[1]
 
     @staticmethod
     def zeros(field, rows, cols):
-        return ExactMatrix(field, rows, cols, field.zeros((rows, cols)))
+        return ExactMatrix(field, field.zeros((rows, cols)))
 
     @staticmethod
     def identity(field, n):
@@ -181,7 +190,7 @@ class ExactMatrix:
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        return ExactMatrix(field, nr, nc, np.array(rows, dtype=field.dtype).reshape(nr, nc))
+        return ExactMatrix(field, np.array(rows, dtype=field.dtype).reshape(nr, nc))
 
     def get(self, i, j):
         return self.data.item(i, j)
@@ -199,10 +208,10 @@ class ExactMatrix:
         return self.data.tolist()
 
     def copy(self):
-        return ExactMatrix(self.field, self.rows, self.cols, self.data.copy())
+        return ExactMatrix(self.field, self.data.copy())
 
     def transpose(self):
-        return ExactMatrix(self.field, self.cols, self.rows, np.ascontiguousarray(self.data.T))
+        return ExactMatrix(self.field, np.ascontiguousarray(self.data.T))
 
     def is_zero(self):
         return not self.field.reduce(self.data).any()
@@ -225,7 +234,7 @@ def mat_mul(a, b):
     out = f.zeros((a.rows, b.cols))
     for s in range(0, a.cols, chunk):
         out = f.reduce(out + a.data[:, s:s + chunk] @ b.data[s:s + chunk, :])
-    return ExactMatrix(f, a.rows, b.cols, out)
+    return ExactMatrix(f, out)
 
 
 def mat_hstack(field, blocks):
@@ -235,8 +244,7 @@ def mat_hstack(field, blocks):
     rows = blocks[0].rows
     if any(b.rows != rows for b in blocks):
         raise ValueError("row mismatch")
-    data = np.hstack([b.data for b in blocks])
-    return ExactMatrix(field, rows, data.shape[1], data)
+    return ExactMatrix(field, np.hstack([b.data for b in blocks]))
 
 
 def mat_vstack(field, blocks):
@@ -246,8 +254,27 @@ def mat_vstack(field, blocks):
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
         raise ValueError("col mismatch")
-    data = np.vstack([b.data for b in blocks])
-    return ExactMatrix(field, data.shape[0], cols, data)
+    return ExactMatrix(field, np.vstack([b.data for b in blocks]))
+
+
+def mat_from_blocks(field, row_dims, col_dims, blocks):
+    """Block matrix whose block rows have heights row_dims and whose block
+    columns have widths col_dims; the one place that computes block offsets.
+
+    blocks maps (i, j) to the array of block (i, j), or is an iterable of
+    ((i, j), array) pairs, written one at a time as they are produced.
+    Omitted blocks are zero.  A block of any shape other than
+    (row_dims[i], col_dims[j]) raises ValueError, also where numpy would
+    broadcast it.
+    """
+    r0, c0 = [0, *accumulate(row_dims)], [0, *accumulate(col_dims)]
+    out = field.zeros((r0[-1], c0[-1]))
+    for (i, j), blk in (blocks.items() if isinstance(blocks, dict) else blocks):
+        if np.shape(blk) != (row_dims[i], col_dims[j]):
+            raise ValueError(f"block ({i},{j}) has shape {np.shape(blk)}, "
+                             f"its slot {(row_dims[i], col_dims[j])}")
+        out[r0[i]:r0[i + 1], c0[j]:c0[j + 1]] = blk
+    return ExactMatrix(field, out)
 
 
 def mat_from_cols(field, cols, nrows):
@@ -487,7 +514,7 @@ def rref(m):
     else:
         rows, piv = _rref_rational(m.data.tolist())
         data = np.array(rows, dtype=object).reshape(m.rows, m.cols)
-    return ExactMatrix(m.field, m.rows, m.cols, data), tuple(piv)
+    return ExactMatrix(m.field, data), tuple(piv)
 
 
 # ------------------------------------------------------------------- the API
@@ -497,12 +524,6 @@ def mat_rank(m):
         return 0
     _, piv = rref(m)
     return len(piv)
-
-
-def mat_select_rows(m, rows):
-    """New matrix from the given row indices, in the given order."""
-    rows = list(rows)
-    return ExactMatrix(m.field, len(rows), m.cols, m.data[rows])
 
 
 def free_columns(n, pivots):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from .exactcore import GF, QQ, DEFAULT_PRIME, ExactMatrix, mat_rank
 from .bipoly import BiPoly, SystemF, split_st, strand_dim
 from .combinat import chi, nd, pos_part
-from .strands import critical_ranges, h1_dim, hf_quotient, is_generic
+from .strands import check_box, critical_ranges, h1_dim, hf_quotient, is_generic
 from .betti import betti_table, nonkoszul_beta1
 from .segre import basepoint_free, detect_conic, extract_factorization, square_strand_det
 
@@ -35,18 +35,15 @@ class ExperimentConfig:
     field: object = None
     seed: int = 0
     box: tuple = None
-    coeff_bound: int = 100   # only used over Q
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.field is None:
             self.field = GF(DEFAULT_PRIME)
-        d1, d2 = self.d
         if self.box is None:
-            self.box = (4 * d1, 4 * d2)
-        if self.box[0] < 3 * d1 or self.box[1] < 3 * d2:
-            raise ValueError(f"box must dominate (3d1,3d2) = ({3*d1},{3*d2})")
+            self.box = (4 * self.d[0], 4 * self.d[1])
+        check_box(self.d, self.box)
 
 
 def _draw(cfg, trial):

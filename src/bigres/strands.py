@@ -4,7 +4,10 @@ The middle Koszul homology strand (H1)_a is computed in the inverse-monomial
 model: a kernel of delta_a = diag(phi1, phi2) where each phi maps a mixed
 polynomial/inverse-power space to three stacked copies of a smaller one.
 Inverse powers 1/(u^(i+1) v^(j+1)) multiply by contraction, truncating to
-zero whenever an exponent would leave the allowed range.
+zero whenever an exponent would leave the allowed range; these blocks and
+the polynomial ones come from the one term kernel of bipoly, and every
+strand matrix (phi maps, Koszul maps, the generator strand) is assembled by
+exactcore.mat_from_blocks.
 
 Everything here is a pure function of (system, bidegree).  One per-system
 store owns every elimination: the generator strand [f0 f1 f2], the phi pair
@@ -20,8 +23,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .exactcore import ExactMatrix, free_columns, kernel_data, mat_rank, mat_vstack, rref
-from .bipoly import StrandMap, _scatter, _term_columns, mul_matrix, strand_dim
+from .exactcore import ExactMatrix, free_columns, kernel_data, mat_from_blocks, mat_rank, rref
+from .bipoly import StrandMap, _product, mul_matrix, strand_dim
 from .combinat import chi, nd
 
 
@@ -41,9 +44,7 @@ class InverseStrandBasis:
 
     @property
     def dim(self):
-        if self.st_deg < 0 or self.uv_order < 0:
-            return 0
-        return (self.st_deg + 1) * (self.uv_order + 1)
+        return strand_dim((self.st_deg, self.uv_order))
 
     def describe(self):
         if self.dim == 0:
@@ -54,24 +55,11 @@ class InverseStrandBasis:
 
 
 def _inverse_block(f, src: InverseStrandBasis):
-    """Multiplication by f on the inverse-strand space src.
-
-    The polynomial factor (s,t unless src is flipped) gains the exponents of
-    a term, the inverse factor loses them, and a term whose contraction
-    leaves the allowed range sends the basis element to zero.
-    """
-    sign = -1 if src.flipped else 1
-    tgt = InverseStrandBasis(src.st_deg + sign * f.degree[0],
-                             src.uv_order - sign * f.degree[1], src.flipped)
-    mat = f.field.zeros((tgt.dim, src.dim))
-    if mat.size and f.coeffs:
-        idx = np.arange(src.dim)
-        al, be, ga, de, coef = _term_columns(f)
-        x = src.st_deg - idx // (src.uv_order + 1) + sign * al
-        y = src.uv_order - idx % (src.uv_order + 1) - sign * ga
-        ok = (x >= 0) & (x <= tgt.st_deg) & (y >= 0) & (y <= tgt.uv_order)
-        _scatter(mat, ok, (tgt.st_deg - x) * (tgt.uv_order + 1) + (tgt.uv_order - y), coef)
-    return ExactMatrix(f.field, tgt.dim, src.dim, mat)
+    """Multiplication by f on the inverse-strand space src: the polynomial
+    factor (s,t unless src is flipped) gains the exponents of a term, the
+    inverse factor is contracted by them."""
+    sign = (-1, 1) if src.flipped else (1, -1)
+    return ExactMatrix(f.field, _product(f, (src.st_deg, src.uv_order), sign))
 
 
 def _phi_sources(d, a):
@@ -94,11 +82,12 @@ def phi_matrices(sys, a):
     src1, src2 = _phi_sources(sys.d, a)
     tgt1 = InverseStrandBasis(a1 - 2 * d1, 2 * d2 - a2 - 2)
     tgt2 = InverseStrandBasis(2 * d1 - a1 - 2, a2 - 2 * d2, flipped=True)
-    m1 = mat_vstack(sys.field, [_inverse_block(f, src1) for f in sys.polys])
-    m2 = mat_vstack(sys.field, [_inverse_block(f, src2) for f in sys.polys])
-    phi1 = StrandMap(m1, src1.describe(), "3 x (" + tgt1.describe() + ")")
-    phi2 = StrandMap(m2, src2.describe(), "3 x (" + tgt2.describe() + ")")
-    return phi1, phi2
+    phis = []
+    for src, tgt in ((src1, tgt1), (src2, tgt2)):
+        blocks = {(k, 0): _inverse_block(f, src).data for k, f in enumerate(sys.polys)}
+        phis.append(StrandMap(mat_from_blocks(sys.field, [tgt.dim] * 3, [src.dim], blocks),
+                              src.describe(), "3 x (" + tgt.describe() + ")"))
+    return tuple(phis)
 
 
 # ------------------------------------------------------------- strand store
@@ -122,17 +111,6 @@ def _per_system(build):
     return record
 
 
-def _generators_transposed(sys, src):
-    """The transpose of [f0 f1 f2] from three copies of strand src, written
-    as one array, a block of rows per form."""
-    fld = sys.field
-    ns, n = strand_dim(src), strand_dim((src[0] + sys.d[0], src[1] + sys.d[1]))
-    mat = fld.zeros((3 * ns, n))
-    for k, f in enumerate(sys.polys):
-        mat[k * ns:(k + 1) * ns] = mul_matrix(f, src).matrix.data.T
-    return ExactMatrix(fld, 3 * ns, n, mat)
-
-
 @_per_system
 def _quotient_echelon(sys, b):
     """(free, free_pos, piv_pos, neg_tail) of the quotient strand (R/I)_b.
@@ -150,8 +128,12 @@ def _quotient_echelon(sys, b):
     src = (b[0] - sys.d[0], b[1] - sys.d[1])
     echelon, piv = fld.zeros((0, n)), ()
     if strand_dim(src):
-        # unnamed, the generator strand is freed as soon as it is eliminated
-        R, piv = rref(_generators_transposed(sys, src))
+        # the transpose of [f0 f1 f2], a block row per form; each block is
+        # written as soon as it is built, and the whole strand, unnamed, is
+        # freed as soon as it is eliminated
+        R, piv = rref(mat_from_blocks(fld, [strand_dim(src)] * 3, [n],
+                                      (((k, 0), mul_matrix(f, src).matrix.data.T)
+                                       for k, f in enumerate(sys.polys))))
         echelon = R.data
     free = free_columns(n, piv)
     free_pos = np.full(n, -1, dtype=np.int64)
@@ -159,7 +141,7 @@ def _quotient_echelon(sys, b):
     free_pos[free] = np.arange(len(free))
     piv_pos[list(piv)] = np.arange(len(piv))
     neg_tail = fld.reduce(-echelon[:len(piv), free])
-    return free, free_pos, piv_pos, ExactMatrix(fld, len(piv), len(free), neg_tail)
+    return free, free_pos, piv_pos, ExactMatrix(fld, neg_tail)
 
 
 @dataclass(frozen=True)
@@ -201,23 +183,20 @@ def _koszul_strands(sys, a):
     Exterior basis order e01, e02, e12 in the middle; signs follow
     delta1 = [f0 f1 f2], delta2 = [[f1, f2, 0], [-f0, 0, f2], [0, -f0, -f1]],
     delta3 = (-f2, f1, -f0).  delta1 is the generator strand that
-    _quotient_echelon eliminates, so it is not built here.  Each matrix is
-    one preallocated array; the multiplication blocks are written into it
-    at their offsets with their signs.
+    _quotient_echelon eliminates, so it is not built here.
     """
     fld = sys.field
     d1, d2 = sys.d
     out = []
-    for k, blocks, shape in ((2, _DELTA2, (3, 3)), (3, _DELTA3, (3, 1))):
+    for k, table, shape in ((2, _DELTA2, (3, 3)), (3, _DELTA3, (3, 1))):
         src = (a[0] - k * d1, a[1] - k * d2)
         nt, ns = strand_dim((src[0] + d1, src[1] + d2)), strand_dim(src)
-        mat = fld.zeros((shape[0] * nt, shape[1] * ns))
-        if mat.size:
+        blocks = {}
+        if ns:
             mul = [mul_matrix(f, src).matrix.data for f in sys.polys]
-            for i, j, form, sign in blocks:
-                mat[i * nt:(i + 1) * nt, j * ns:(j + 1) * ns] = \
-                    mul[form] if sign > 0 else fld.reduce(-mul[form])
-        out.append(ExactMatrix(fld, *mat.shape, mat))
+            blocks = {(i, j): mul[form] if sign > 0 else fld.reduce(-mul[form])
+                      for i, j, form, sign in table}
+        out.append(mat_from_blocks(fld, [nt] * shape[0], [ns] * shape[1], blocks))
     return tuple(out)
 
 
@@ -274,17 +253,24 @@ def critical_ranges(d, box):
     return out
 
 
+def check_box(d, box):
+    """Reject a genericity box smaller than (3d1+1, 3d2+1): a smaller one
+    cannot cover the critical ranges."""
+    d1, d2 = d
+    if box[0] < 3 * d1 + 1 or box[1] < 3 * d2 + 1:
+        raise ValueError(f"box too small: need at least ({3 * d1 + 1},{3 * d2 + 1})")
+
+
 def is_generic(sys, box=None):
     """Full-rank sweep of phi1, phi2 over [0, box]; verdict is box-relative.
 
-    The default box (4d1, 4d2) covers the critical ranges; anything smaller
-    than (3d1+1, 3d2+1) cannot and is rejected.
+    The default box (4d1, 4d2) covers the critical ranges; check_box rejects
+    any box that cannot.
     """
     d1, d2 = sys.d
     if box is None:
         box = (4 * d1, 4 * d2)
-    if box[0] < 3 * d1 + 1 or box[1] < 3 * d2 + 1:
-        raise ValueError(f"box too small: need at least ({3 * d1 + 1},{3 * d2 + 1})")
+    check_box(sys.d, box)
     for a1 in range(box[0] + 1):
         for a2 in range(box[1] + 1):
             if not all(k.full_rank for k in _phi_kernels(sys, (a1, a2))):

@@ -156,6 +156,16 @@ def test_usage_errors(tmp_path, capsys):
                                       "polys": [[["1", 1, 0, 1, 0]]]}))
     assert main(["betti", str(incomplete), "--box", "4,4"]) == 2
     assert "3 polynomials" in capsys.readouterr().err
+    # a negative --box entry is a usage error, not a crash or an empty grid
+    for argv in (["nd", "--d", "1,6", "--box=-1,3"],
+                 ["hf", MAPS6, "--box=-1,2"],
+                 ["h1", MAPS6, "--box", "3,-1"],
+                 ["plot", MAPS6, "--box=-1,2", "-o", str(tmp_path / "neg.svg")]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert "--box" in captured.err, argv
+    assert not (tmp_path / "neg.svg").exists()
 
 
 def test_svg_deterministic(tmp_path, capsys):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bigres.exactcore import (GF, QQ, DEFAULT_PRIME, ExactMatrix, kernel_data,
-                              kernel_matrix, mat_det, mat_hstack, mat_kernel_basis,
-                              mat_mul, mat_rank, mat_vstack, reduce_mod_span, rref)
+                              kernel_matrix, mat_det, mat_from_blocks, mat_hstack,
+                              mat_kernel_basis, mat_mul, mat_rank, mat_vstack,
+                              reduce_mod_span, rref)
 
 
 def naive_rref(rows):
@@ -200,6 +201,42 @@ def test_stack_shapes_and_content():
     assert mat_hstack(fld, [ExactMatrix.zeros(fld, 2, 0), a.transpose()]).cols == 1
 
 
+@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+def test_mat_from_blocks_matches_zero_padded_stacking(fld):
+    # oracle: every slot filled, omitted ones with a zero block, each block
+    # row hstacked and the block rows vstacked
+    rng = random.Random(5)
+    row_dims, col_dims = [2, 0, 3], [1, 4, 0, 2]
+    written = set()
+    for trial in range(8):
+        blocks, grid = {}, []
+        for i, r in enumerate(row_dims):
+            row = []
+            for j, c in enumerate(col_dims):
+                blk = ExactMatrix.zeros(fld, r, c)
+                if trial and rng.random() < 0.6:  # trial 0 omits every block
+                    for x in range(r):
+                        for y in range(c):
+                            blk.set(x, y, rng.randint(-9, 9))
+                    blocks[i, j] = blk.data
+                row.append(blk)
+            grid.append(mat_hstack(fld, row))
+        want = mat_vstack(fld, grid)
+        got = mat_from_blocks(fld, row_dims, col_dims, blocks)
+        assert got.data.dtype == fld.dtype
+        assert got.to_lists() == want.to_lists(), trial
+        # the same blocks as ((i, j), array) pairs, produced one at a time
+        pairs = ((key, blk) for key, blk in blocks.items())
+        assert mat_from_blocks(fld, row_dims, col_dims, pairs).to_lists() == want.to_lists()
+        written |= set(blocks)
+    assert {(1, 0), (1, 3), (0, 2), (2, 2)} <= written  # 0-row and 0-column blocks
+    # a block must fit its slot exactly, also where numpy would broadcast it
+    for key, shape in [((2, 1), (1, 4)), ((2, 1), (3, 1)), ((2, 1), (4, 3)),
+                       ((0, 3), (2, 0)), ((1, 1), (2, 4)), ((2, 2), (3, 1))]:
+        with pytest.raises(ValueError, match="slot"):
+            mat_from_blocks(fld, row_dims, col_dims, {key: fld.zeros(shape)})
+
+
 def test_kernel_matrix_composes():
     rng = random.Random(11)
     for _ in range(20):
@@ -337,7 +374,7 @@ def test_prime_rref_reduces_raw_entries():
     fld = GF(7)
     rng = random.Random(2)
     rows = [[rng.randint(-50, 50) for _ in range(9)] for _ in range(6)]
-    raw = ExactMatrix(fld, 6, 9, np.array(rows, dtype=np.int64))
+    raw = ExactMatrix(fld, np.array(rows, dtype=np.int64))
     want, wpiv = gauss_jordan_mod(rows, 7)
     got, piv = rref(raw)
     assert list(piv) == wpiv

@@ -27,6 +27,9 @@ def test_config_validation():
         ExperimentConfig((1, 1), trials=0)
     with pytest.raises(ValueError, match="box"):
         ExperimentConfig((1, 2), box=(2, 8))
+    # is_generic's bound: (3d1, 3d2) itself is too small
+    with pytest.raises(ValueError, match=r"box too small: need at least \(4,7\)"):
+        ExperimentConfig((1, 2), box=(3, 6))
 
 
 def test_sampling_deterministic():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bigres.exactcore import (GF, QQ, ExactMatrix, kernel_data, mat_from_cols, mat_hstack,
-                              mat_mul, mat_rank, mat_select_rows, mat_vstack, rref)
+from bigres.exactcore import (GF, QQ, ExactMatrix, kernel_data, mat_from_blocks, mat_from_cols,
+                              mat_hstack, mat_mul, mat_rank, mat_vstack, rref)
 from bigres.bipoly import BiPoly, SystemF, mul_matrix, strand_dim
 from bigres.combinat import chi, cod, dom, nd
 from bigres.strands import (_inverse_block, _koszul_strands, _phi_sources,
@@ -81,7 +81,7 @@ def test_builders_return_field_dtype(fld):
     mats = [m, ExactMatrix.zeros(fld, 2, 3), ExactMatrix.identity(fld, 3),
             m.transpose(), m.copy(), mat_mul(m, m.transpose()),
             mat_hstack(fld, [m, m]), mat_vstack(fld, [m, m]),
-            mat_select_rows(m, [1, 0]), mat_from_cols(fld, [[1, 2]], 2),
+            mat_from_blocks(fld, [2, 1], [3, 2], {(0, 0): m.data}), mat_from_cols(fld, [[1, 2]], 2),
             rref(m)[0], kernel_data(m)[0], mul_matrix(sys_.polys[0], (1, 2)).matrix,
             phi_matrices(sys_, (4, 2))[0].matrix, phi_matrices(sys_, (0, 6))[1].matrix,
             _inverse_block(sys_.polys[0], src1), _inverse_block(sys_.polys[0], src2),
