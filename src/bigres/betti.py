@@ -13,28 +13,31 @@ by a variable is a row lookup, not a solve.  H1 strands come from its phi
 kernel records and exploit the identity pattern of echelonized kernel bases:
 coordinates of a kernel vector are its entries at the free columns.
 
-Every block matrix here (Koszul differentials over the spots, the H1 action,
-resolution strands, the Hilbert-Burch span and the syz3star check) is
-assembled by exactcore.mat_from_blocks from multiplication blocks of the one
-term kernel in bipoly.
+The Koszul differentials over the spots come from the one Koszul strand
+builder, strands._koszul_differential, with either provider as the module.
+Every other block matrix here (the H1 action, resolution strands, the
+Hilbert-Burch span and the syz3star check) is assembled by
+exactcore.mat_from_blocks from multiplication blocks of the one term kernel
+in bipoly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
 
 import numpy as np
 
 from .exactcore import (ExactMatrix, kernel_data, mat_from_blocks, mat_hstack, mat_mul,
                         mat_rank, rref)
-from .bipoly import (BiPoly, BinaryForm, binary_from_bipoly, gcd_binary,
+from .bipoly import (BiPoly, BinaryForm, _term_rows, binary_from_bipoly, gcd_binary,
                      mul_matrix, split_st, strand_dim)
-from .strands import _inverse_block, _phi_kernels, _quotient_echelon, hf_quotient
+from .strands import (_inverse_block, _koszul_differential, _koszul_spots, _phi_kernels,
+                      _quotient_echelon, hf_quotient)
 
 VAR_NAMES = ("s", "t", "u", "v")
 VAR_DEGREES = ((1, 0), (1, 0), (0, 1), (0, 1))
+_VAR_EXPONENTS = np.eye(4, dtype=np.int64)
 
 
 # ---------------------------------------------------------- strand providers
@@ -59,10 +62,8 @@ class _QuotientStrands:
         out = ExactMatrix.zeros(self.field, len(free_tgt), len(free_src))
         if not (len(free_src) and len(free_tgt)):
             return out
-        # target monomial index of xi * (monomial #idx of strand b)
-        es = b[0] - free_src // (b[1] + 1) + (xi == 0)
-        eu = b[1] - free_src % (b[1] + 1) + (xi == 2)
-        tgt = (bt[0] - es) * (bt[1] + 1) + (bt[1] - eu)
+        # target monomial index of xi * (each quotient basis monomial of b)
+        tgt = _term_rows(_VAR_EXPONENTS[xi:xi + 1], free_src, b, (1, 1))[0]
         cols = np.arange(len(tgt))
         hit = fpos[tgt] >= 0
         out.data[fpos[tgt[hit]], cols[hit]] = self.field.one()
@@ -97,31 +98,16 @@ class _H1Strands:
 def _koszul_module_homology(provider, a):
     """Homology dims (H_0..H_4) of the variable Koszul complex on a module.
 
-    The complex at bidegree a has spots indexed by subsets S of {s,t,u,v};
-    d(e_S (x) m) = sum_l (-1)^(l-1) e_(S minus x_l) (x) x_l m.  Each
-    differential is one block matrix over the spots, with the action blocks
-    negated where the sign is.  All dims are read before any action is
-    built.
+    The complex at bidegree a has a spot for each subset S of {s,t,u,v}, and
+    strands._koszul_differential builds each differential.  Each spot degree's
+    dim is read once, and all of them before any action is built.
     """
-    f = provider.field
-    subsets = [list(combinations(range(4), j)) for j in range(5)]
-    shifted = {S: (a[0] - sum(VAR_DEGREES[i][0] for i in S),
-                   a[1] - sum(VAR_DEGREES[i][1] for i in S))
-               for group in subsets for S in group}
-    dim = {S: provider.dim(shifted[S]) for group in subsets for S in group}
-    ranks = [0]
-    for j in range(1, 5):
-        blocks = {}
-        for c, Sc in enumerate(subsets[j]):
-            for l, xi in enumerate(Sc):
-                Sr = tuple(x for x in Sc if x != xi)
-                if dim[Sc] and dim[Sr]:
-                    blk = provider.action(xi, shifted[Sc]).data
-                    blocks[subsets[j - 1].index(Sr), c] = f.reduce(-blk) if l % 2 else blk
-        ranks.append(mat_rank(mat_from_blocks(f, [dim[S] for S in subsets[j - 1]],
-                                              [dim[S] for S in subsets[j]], blocks)))
-    ranks.append(0)
-    dims = [sum(dim[S] for S in group) for group in subsets]
+    spots = [_koszul_spots(VAR_DEGREES, a, j) for j in range(5)]
+    dim = {b: provider.dim(b) for group in spots for _, b in group}
+    ranks = [0] + [mat_rank(_koszul_differential(provider.field, VAR_DEGREES, a, j,
+                                                 dim.__getitem__, provider.action))
+                   for j in range(1, 5)] + [0]
+    dims = [sum(dim[b] for _, b in group) for group in spots]
     return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(5))
 
 
@@ -410,12 +396,12 @@ def hb_kernel(q, degree=None):
                          "syzygy module is not free of rank m-1 here")
     found = []
     for b in range(0, 3 * n + 1):
-        stacked = mat_hstack(fld, [mul_matrix(qq.to_bipoly(), (0, b)).matrix for qq in q])
+        stacked = mat_hstack(fld, [mul_matrix(qq.to_bipoly(), (0, b)) for qq in q])
         kern = kernel_data(stacked)[0]
         if kern.cols:
             # multiples of the generators found so far: the degree-b strand
             # of each column [gen_0; ...; gen_(m-1)]
-            blocks = {(l, c): mul_matrix(gen[l].to_bipoly(), (0, b - bk)).matrix.data
+            blocks = {(l, c): mul_matrix(gen[l].to_bipoly(), (0, b - bk)).data
                       for c, (gen, bk) in enumerate(found) for l in range(m)}
             span = mat_from_blocks(fld, [b + 1] * m, [b - bk + 1 for _, bk in found], blocks)
             _, piv = rref(mat_hstack(fld, [span, kern]))
@@ -528,7 +514,7 @@ def syz3star(sys):
     for k in range(5):
         bk = hb.column_degrees[k]
         strand = mat_from_blocks(fld, [2 * n - bk + 1] * 4, [n - bk + 1] * 9,
-                                 {(r, c): mul_matrix(e, (0, n - bk)).matrix.data
+                                 {(r, c): mul_matrix(e, (0, n - bk)).data
                                   for r, row in enumerate(Mpoly)
                                   for c, e in enumerate(row) if e is not None})
         vec = []
@@ -578,7 +564,7 @@ class ResolutionComplex:
         """Matrix of differential j on the degree-a strand."""
         src = [(a[0] - s[0], a[1] - s[1]) for s in self.shifts[j]]
         tgt_dims = [strand_dim((a[0] - s[0], a[1] - s[1])) for s in self.shifts[j - 1]]
-        blocks = {(r, c): mul_matrix(e, src[c]).matrix.data
+        blocks = {(r, c): mul_matrix(e, src[c]).data
                   for r, row in enumerate(self.diffs[j - 1]) for c, e in enumerate(row)
                   if e is not None and not e.is_zero() and strand_dim(src[c])}
         return mat_from_blocks(self.sys.field, tgt_dims, [strand_dim(b) for b in src], blocks)

@@ -4,8 +4,8 @@ Monomials are exponent tuples (es, et, eu, ev).  The canonical basis of the
 degree-(a1,a2) strand lists s-exponent descending, then u-exponent
 descending; all matrices in the package index strands in that order.
 Multiplication matrices on polynomial strands (mul_matrix) and on the
-inverse-power spaces of strands share one term kernel, _product, which
-alone maps a product term to its row.
+inverse-power spaces of strands share one term kernel, _product; its index
+rule _term_rows alone maps a product term to its row.
 
 Canonical text form of a polynomial: terms in basis order, each rendered as
 coeff*s^i*t^j*u^k*v^l with every variable present and "^1" omitted; the zero
@@ -154,35 +154,35 @@ class BiPoly:
         return f"BiPoly({self.degree}, {self.to_text()})"
 
 
-@dataclass
-class StrandMap:
-    """A strand-to-strand linear map with human-readable endpoint labels."""
+def _term_rows(expts, idx, src, sign):
+    """Target row of each term times each source element, or -1 where the
+    product leaves the target; the one place where a product term is mapped
+    to its target row.
 
-    matrix: ExactMatrix
-    domain_label: str
-    codomain_label: str
-
-    @property
-    def rows(self):
-        return self.matrix.rows
-
-    @property
-    def cols(self):
-        return self.matrix.cols
+    expts holds one exponent row (es, et, eu, ev) per term, all of one
+    bidegree, and idx holds source element indices; the result has a row
+    per term and a column per index.  src = (X, Y).  Along s,t the space is
+    polynomial (sign +1: s^x t^(X-x)) or inverse (sign -1: 1/(s^(x+1)
+    t^(X-x+1))), and likewise along u,v with y and Y; element (x, y) sits at
+    (X - x)(Y + 1) + (Y - y), the strand_basis order, and a negative X or Y
+    gives the zero space.  A term raises a polynomial factor by its
+    exponents and contracts an inverse one, which can leave the range of
+    the target.  The target is (X + sign[0] deg1, Y + sign[1] deg2).
+    """
+    (X, Y), (sx, sy) = src, sign
+    es, et, eu, ev = expts[0].tolist()
+    tx, ty = X + sx * (es + et), Y + sy * (eu + ev)
+    x = X - idx // (Y + 1) + sx * expts[:, :1]
+    y = Y - idx % (Y + 1) + sy * expts[:, 2:3]
+    rows = (tx - x) * (ty + 1) + (ty - y)
+    if sx < 0 or sy < 0:
+        rows[(x < 0) | (x > tx) | (y < 0) | (y > ty)] = -1
+    return rows
 
 
 def _product(g, src, sign):
-    """Array of multiplication by g from the space src to its target; the
-    one place where a product term is mapped to its target row.
-
-    src = (X, Y).  Along s,t the space is polynomial (sign +1: s^x t^(X-x))
-    or inverse (sign -1: 1/(s^(x+1) t^(X-x+1))), and likewise along u,v with
-    y and Y; element (x, y) sits at (X - x)(Y + 1) + (Y - y), the
-    strand_basis order, and a negative X or Y gives the zero space.  A term
-    of g raises a polynomial factor by its exponents and contracts an
-    inverse one, sending the element to zero when the contraction leaves the
-    range of the target.  The target is (X + sign[0] deg1 g, Y + sign[1] deg2 g).
-    """
+    """Array of multiplication by g from the space src to its target, with
+    src and sign as in _term_rows."""
     (X, Y), (sx, sy) = src, sign
     tx, ty = X + sx * g.degree[0], Y + sy * g.degree[1]
     mat = g.field.zeros((strand_dim((tx, ty)), strand_dim(src)))
@@ -190,17 +190,11 @@ def _product(g, src, sign):
         expts = np.array(list(g.coeffs), dtype=np.int64).reshape(-1, 4)
         coef = np.array(list(g.coeffs.values()), dtype=g.field.dtype)[:, None]
         idx = np.arange(mat.shape[1])
-        # one row per term, one column per source element
-        x = X - idx // (Y + 1) + sx * expts[:, :1]
-        y = Y - idx % (Y + 1) + sy * expts[:, 2:3]
-        ok = np.ones(x.shape, dtype=bool)
-        for z, sz, top in ((x, sx, tx), (y, sy, ty)):
-            if sz < 0:
-                ok &= (z >= 0) & (z <= top)
+        rows = _term_rows(expts, idx, src, sign)
+        ok = rows >= 0
         # within a column a term fixes its target row, so no two terms
         # write the same cell and assignment is exact
         cols = np.broadcast_to(idx, ok.shape)
-        rows = (tx - x) * (ty + 1) + (ty - y)
         mat[rows[ok], cols[ok]] = np.broadcast_to(coef, ok.shape)[ok]
     return mat
 
@@ -211,12 +205,9 @@ def mul_matrix(g, b):
     Columns/rows follow strand_basis order of source/target.  b must be a
     nonnegative bidegree.
     """
-    b1, b2 = b
-    if b1 < 0 or b2 < 0:
+    if b[0] < 0 or b[1] < 0:
         raise ValueError("source bidegree must be nonnegative")
-    t1, t2 = b1 + g.degree[0], b2 + g.degree[1]
-    return StrandMap(ExactMatrix(g.field, _product(g, b, (1, 1))),
-                     f"R({b1},{b2})", f"R({t1},{t2})")
+    return ExactMatrix(g.field, _product(g, b, (1, 1)))
 
 
 @dataclass(eq=False)
@@ -242,10 +233,6 @@ class SystemF:
         coeff_rows = [f.coeff_vector() for f in self.polys]
         if mat_rank(ExactMatrix.from_rows(self.field, coeff_rows)) != 3:
             raise ValueError("the three forms are linearly dependent")
-
-    def same_as(self, other):
-        return (self.field == other.field and self.d == other.d
-                and all(p.coeffs == q.coeffs for p, q in zip(self.polys, other.polys)))
 
     def __repr__(self):
         return f"SystemF(d={self.d}, [" + "; ".join(p.to_text() for p in self.polys) + "])"

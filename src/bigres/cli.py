@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .exactcore import GF, QQ
 from .bipoly import BiPoly, SystemF
 from .combinat import chi, nd, nd_grid, neg_part, pos_part, render_grid
-from .strands import h1_dim, hf_quotient, is_generic
+from .strands import check_box, h1_dim, hf_quotient, is_generic
 from .betti import betti_table, nonkoszul_beta1, verify_resolution
 from .segre import (ConicRedirect, ImpossibleFactorization, basepoint_free,
                     classify, conic_resolution, extract_factorization,
@@ -104,6 +104,19 @@ def _box(text):
     box = _pair(text, "--box")
     if min(box) < 0:
         raise UsageError("--box entries must be nonnegative")
+    return box
+
+
+def _generic_box(text, d):
+    """--box of a genericity sweep: None (the default box) or a box that
+    covers the critical ranges of shape d."""
+    if not text:
+        return None
+    box = _box(text)
+    try:
+        check_box(d, box)
+    except ValueError as e:
+        raise UsageError(str(e))
     return box
 
 
@@ -306,8 +319,7 @@ def cmd_resolve(args, out):
 
 def cmd_generic(args, out):
     sys_ = load_system(args.file)
-    box = _box(args.box) if args.box else None
-    out.write(str(is_generic(sys_, box)) + "\n")
+    out.write(str(is_generic(sys_, _generic_box(args.box, sys_.d))) + "\n")
     return 0
 
 
@@ -316,7 +328,7 @@ def cmd_lab(args, out):
     cfg = labmod.ExperimentConfig(
         d=d, trials=args.trials, seed=args.seed,
         field=parse_field(args.field),
-        box=_box(args.box) if args.box else None)
+        box=_generic_box(args.box, d))
     rep = labmod.generic_report(cfg, collect_grid=bool(args.csv))
     if args.csv:
         rep.write_csv(args.csv)

@@ -19,7 +19,8 @@ from .bipoly import BiPoly, SystemF, split_st, strand_dim
 from .combinat import chi, nd, pos_part
 from .strands import check_box, critical_ranges, h1_dim, hf_quotient, is_generic
 from .betti import betti_table, nonkoszul_beta1
-from .segre import basepoint_free, detect_conic, extract_factorization, square_strand_det
+from .segre import (ImpossibleFactorization, basepoint_free, detect_conic,
+                    extract_factorization, square_strand_det)
 
 MAX_REJECTIONS = 100
 
@@ -235,7 +236,7 @@ def probe_system(sys, label, box=None):
         try:
             if detect_conic(sys) is not None:
                 detectors.append("conic")
-        except Exception:
+        except ImpossibleFactorization:
             pass
         if extract_factorization(sys) is not None:
             detectors.append("factorized")

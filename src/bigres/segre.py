@@ -133,7 +133,7 @@ def detect_conic(sys):
     if sys.d[0] != 1:
         raise ValueError("needs d = (1,n)")
     fld = sys.field
-    big = mat_hstack(fld, [mul_matrix(f, (2, 0)).matrix for f in sys.polys])
+    big = mat_hstack(fld, [mul_matrix(f, (2, 0)) for f in sys.polys])
     kern = kernel_data(big)[0]
     if kern.cols == 0:
         return None
@@ -399,8 +399,7 @@ def square_strand_det(sys):
     Accepts a plain triple of (1,5)-forms too (then the phi cross-check is
     skipped: degenerate triples are allowed there).
     """
-    from .bipoly import SystemF as _SF
-    polys = sys.polys if isinstance(sys, _SF) else list(sys)
+    polys = sys.polys if isinstance(sys, SystemF) else list(sys)
     fld = polys[0].field
     if any(tuple(f.degree) != (1, 5) for f in polys) or len(polys) != 3:
         raise ValueError("square determinant strand needs d == (1,5)")
@@ -410,8 +409,8 @@ def square_strand_det(sys):
         rows.append(list(p.coeffs))
         rows.append(list(q.coeffs))
     m = ExactMatrix.from_rows(fld, rows)
-    if isinstance(sys, _SF):
-        phi1 = phi_matrices(sys, (3, 8))[0].matrix
+    if isinstance(sys, SystemF):
+        phi1 = phi_matrices(sys, (3, 8))[0]
         if phi1.rows != 6 or phi1.cols != 6:
             raise AssertionError("phi1 at (3,8) is not 6x6")
         rev = ExactMatrix.from_rows(fld, [[phi1.get(r, 5 - j) for j in range(6)]

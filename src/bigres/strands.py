@@ -6,25 +6,30 @@ polynomial/inverse-power space to three stacked copies of a smaller one.
 Inverse powers 1/(u^(i+1) v^(j+1)) multiply by contraction, truncating to
 zero whenever an exponent would leave the allowed range; these blocks and
 the polynomial ones come from the one term kernel of bipoly, and every
-strand matrix (phi maps, Koszul maps, the generator strand) is assembled by
-exactcore.mat_from_blocks.
+strand matrix is assembled by exactcore.mat_from_blocks.
+
+Every Koszul strand comes from one builder, _koszul_differential: the
+complex on the net f0, f1, f2 acting on R (its d_1 is the generator strand
+[f0 f1 f2]), and the complex on the variables s, t, u, v acting on R/I or
+on H1 (the Betti strand providers in betti).
 
 Everything here is a pure function of (system, bidegree).  One per-system
-store owns every elimination: the generator strand [f0 f1 f2], the phi pair
-and the higher Koszul maps at a degree are each built and eliminated once per
+store owns every elimination: the generator strand, the phi pair and the
+higher Koszul maps at a degree are each built and eliminated once per
 system, and hf_quotient, h1_dim, koszul_strand_homology, is_generic and the
-Betti strand providers in betti all read the same records.
+Betti strand providers all read the same records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .exactcore import ExactMatrix, free_columns, kernel_data, mat_from_blocks, mat_rank, rref
-from .bipoly import StrandMap, _product, mul_matrix, strand_dim
+from .bipoly import _product, mul_matrix, strand_dim
 from .combinat import chi, nd
 
 
@@ -45,13 +50,6 @@ class InverseStrandBasis:
     @property
     def dim(self):
         return strand_dim((self.st_deg, self.uv_order))
-
-    def describe(self):
-        if self.dim == 0:
-            return "0"
-        if self.flipped:
-            return f"inv-st order {self.st_deg} x uv-deg {self.uv_order}"
-        return f"st-deg {self.st_deg} x inv-uv order {self.uv_order}"
 
 
 def _inverse_block(f, src: InverseStrandBasis):
@@ -82,12 +80,59 @@ def phi_matrices(sys, a):
     src1, src2 = _phi_sources(sys.d, a)
     tgt1 = InverseStrandBasis(a1 - 2 * d1, 2 * d2 - a2 - 2)
     tgt2 = InverseStrandBasis(2 * d1 - a1 - 2, a2 - 2 * d2, flipped=True)
-    phis = []
-    for src, tgt in ((src1, tgt1), (src2, tgt2)):
-        blocks = {(k, 0): _inverse_block(f, src).data for k, f in enumerate(sys.polys)}
-        phis.append(StrandMap(mat_from_blocks(sys.field, [tgt.dim] * 3, [src.dim], blocks),
-                              src.describe(), "3 x (" + tgt.describe() + ")"))
-    return tuple(phis)
+    return tuple(mat_from_blocks(sys.field, [tgt.dim] * 3, [src.dim],
+                                 {(k, 0): _inverse_block(f, src).data
+                                  for k, f in enumerate(sys.polys)})
+                 for src, tgt in ((src1, tgt1), (src2, tgt2)))
+
+
+# ------------------------------------------------------------ Koszul strands
+
+def _koszul_spots(degs, a, j):
+    """The spots of homological index j in the degree-a strand of the
+    Koszul complex on forms of bidegrees degs: (S, a - deg S) for the
+    j-subsets S of their indices, in combinations order."""
+    spots = []
+    for S in combinations(range(len(degs)), j):
+        b0, b1 = a
+        for l in S:
+            b0, b1 = b0 - degs[l][0], b1 - degs[l][1]
+        spots.append((S, (b0, b1)))
+    return spots
+
+
+def _koszul_differential(field, degs, a, j, dim, action):
+    """Degree-a strand of d_j in the Koszul complex on forms x_l of
+    bidegrees degs, acting on a module M with strand dims dim(b) and action
+    matrices action(l, b): M_b -> M_(b + degs[l]).
+
+    d(e_S m) = sum_k (-1)^k e_(S minus S_k) x_(S_k) m, over the spots of
+    _koszul_spots.  Each spot's dim is read once; blocks between empty spots
+    are skipped; each action is built once and dropped as soon as its blocks
+    are written.
+    """
+    rows, cols = _koszul_spots(degs, a, j - 1), _koszul_spots(degs, a, j)
+    row_dims, col_dims = [dim(b) for _, b in rows], [dim(b) for _, b in cols]
+    row_of = {S: r for r, (S, _) in enumerate(rows)}
+    uses = {}    # (l, b) -> [(row spot, column spot, sign is odd)]
+    for c, (S, b) in enumerate(cols):
+        for k, l in enumerate(S):
+            r = row_of[S[:k] + S[k + 1:]]
+            if col_dims[c] and row_dims[r]:
+                uses.setdefault((l, b), []).append((r, c, k % 2))
+
+    def blocks():
+        for (l, b), places in uses.items():
+            blk = action(l, b).data
+            for r, c, odd in places:
+                yield (r, c), field.reduce(-blk) if odd else blk
+    return mat_from_blocks(field, row_dims, col_dims, blocks())
+
+
+def _ring_differential(sys, a, j):
+    """d_j of the Koszul complex on f0, f1, f2 acting on R, at degree a."""
+    return _koszul_differential(sys.field, (sys.d,) * 3, a, j, strand_dim,
+                                lambda l, b: mul_matrix(sys.polys[l], b))
 
 
 # ------------------------------------------------------------- strand store
@@ -115,7 +160,7 @@ def _per_system(build):
 def _quotient_echelon(sys, b):
     """(free, free_pos, piv_pos, neg_tail) of the quotient strand (R/I)_b.
 
-    The transpose of [f0 f1 f2] into R_b is echelonized: a pivot monomial
+    The transpose of d_1 = [f0 f1 f2] into R_b is echelonized: a pivot monomial
     equals its row of neg_tail (one column per free monomial) over the free
     (quotient basis) monomials, so multiplication by a variable is a row
     lookup, not a solve.  free_pos and piv_pos map a monomial index to its
@@ -125,15 +170,11 @@ def _quotient_echelon(sys, b):
     n = strand_dim(b)
     if n == 0:
         return np.zeros(0, dtype=np.intp), np.full(1, -1), np.full(1, -1), None
-    src = (b[0] - sys.d[0], b[1] - sys.d[1])
     echelon, piv = fld.zeros((0, n)), ()
-    if strand_dim(src):
-        # the transpose of [f0 f1 f2], a block row per form; each block is
-        # written as soon as it is built, and the whole strand, unnamed, is
-        # freed as soon as it is eliminated
-        R, piv = rref(mat_from_blocks(fld, [strand_dim(src)] * 3, [n],
-                                      (((k, 0), mul_matrix(f, src).matrix.data.T)
-                                       for k, f in enumerate(sys.polys))))
+    if strand_dim((b[0] - sys.d[0], b[1] - sys.d[1])):
+        # the transpose is a view, not a copy, and the whole strand,
+        # unnamed, is freed as soon as it is eliminated
+        R, piv = rref(ExactMatrix(fld, _ring_differential(sys, b, 1).data.T))
         echelon = R.data
     free = free_columns(n, piv)
     free_pos = np.full(n, -1, dtype=np.int64)
@@ -167,43 +208,14 @@ class _PhiKernel:
 @_per_system
 def _phi_kernels(sys, a):
     """(_PhiKernel of phi1, _PhiKernel of phi2) at a."""
-    return tuple(_PhiKernel(src, *kernel_data(phi.matrix), phi.rows)
+    return tuple(_PhiKernel(src, *kernel_data(phi), phi.rows)
                  for src, phi in zip(_phi_sources(sys.d, a), phi_matrices(sys, a)))
-
-
-# (row block, column block, form, sign) of the blocks of delta2 and delta3
-_DELTA2 = ((0, 0, 1, 1), (0, 1, 2, 1), (1, 0, 0, -1), (1, 2, 2, 1),
-           (2, 1, 0, -1), (2, 2, 1, -1))
-_DELTA3 = ((0, 0, 2, -1), (1, 0, 1, 1), (2, 0, 0, -1))
-
-
-def _koszul_strands(sys, a):
-    """Strand matrices (delta2, delta3) of the length-3 Koszul complex.
-
-    Exterior basis order e01, e02, e12 in the middle; signs follow
-    delta1 = [f0 f1 f2], delta2 = [[f1, f2, 0], [-f0, 0, f2], [0, -f0, -f1]],
-    delta3 = (-f2, f1, -f0).  delta1 is the generator strand that
-    _quotient_echelon eliminates, so it is not built here.
-    """
-    fld = sys.field
-    d1, d2 = sys.d
-    out = []
-    for k, table, shape in ((2, _DELTA2, (3, 3)), (3, _DELTA3, (3, 1))):
-        src = (a[0] - k * d1, a[1] - k * d2)
-        nt, ns = strand_dim((src[0] + d1, src[1] + d2)), strand_dim(src)
-        blocks = {}
-        if ns:
-            mul = [mul_matrix(f, src).matrix.data for f in sys.polys]
-            blocks = {(i, j): mul[form] if sign > 0 else fld.reduce(-mul[form])
-                      for i, j, form, sign in table}
-        out.append(mat_from_blocks(fld, [nt] * shape[0], [ns] * shape[1], blocks))
-    return tuple(out)
 
 
 @_per_system
 def _koszul_ranks(sys, a):
-    """(rank delta2, rank delta3) at a."""
-    return tuple(mat_rank(m) for m in _koszul_strands(sys, a))
+    """(rank d_2, rank d_3) at a."""
+    return tuple(mat_rank(_ring_differential(sys, a, j)) for j in (2, 3))
 
 
 def h1_dim(sys, a):
@@ -220,13 +232,9 @@ def koszul_strand_homology(sys, a, i):
     """dim H_i of the degree-a strand of the Koszul complex, i in 0..3."""
     if i not in (0, 1, 2, 3):
         raise ValueError("homological index must be 0..3")
-    d1, d2 = sys.d
-    a1, a2 = a
-    dims = (strand_dim(a), 3 * strand_dim((a1 - d1, a2 - d2)),
-            3 * strand_dim((a1 - 2 * d1, a2 - 2 * d2)),
-            strand_dim((a1 - 3 * d1, a2 - 3 * d2)))
-    rk = (0, dims[0] - hf_quotient(sys, a)) + _koszul_ranks(sys, a) + (0,)
-    return dims[i] - rk[i] - rk[i + 1]
+    dim = sum(strand_dim(b) for _, b in _koszul_spots((sys.d,) * 3, a, i))
+    rk = (0, strand_dim(a) - hf_quotient(sys, a)) + _koszul_ranks(sys, a) + (0,)
+    return dim - rk[i] - rk[i + 1]
 
 
 @dataclass(frozen=True)

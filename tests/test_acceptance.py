@@ -129,7 +129,7 @@ def test_maps6_shape_h1_and_witness():
     phi1, phi2 = phi_matrices(sys_, (3, 6))
     assert (phi1.rows, phi1.cols) == (30, 11)
     assert (phi2.rows, phi2.cols) == (0, 0)
-    m = phi1.matrix.data
+    m = phi1.data
     assert not m[:, 5].any()  # 1/(u^6 v^6) is annihilated by all three forms
     want = [["I", "0", "0"], ["0", "0", "0"], ["0", "0", "0"],
             ["0", "0", "I"], ["I", "0", "I"], ["I", "0", "I"]]

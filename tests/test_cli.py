@@ -166,6 +166,12 @@ def test_usage_errors(tmp_path, capsys):
         assert captured.out == "" and captured.err.count("\n") == 1, argv
         assert "--box" in captured.err, argv
     assert not (tmp_path / "neg.svg").exists()
+    # so is a genericity box below (3d1+1, 3d2+1), which cannot cover the
+    # critical ranges
+    for argv in (["generic", CONIC12, "--box", "3,6"], ["lab", "--d", "1,2", "--box", "3,6"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: box too small: need at least (4,7)\n"
 
 
 def test_svg_deterministic(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bigres import lab
 from bigres.exactcore import GF
 from bigres.bipoly import BiPoly, SystemF
 from bigres.lab import (ExperimentConfig, generic_report, nongeneric_probe,
@@ -99,6 +100,16 @@ def test_probe_detectors():
     sq = SystemF(FLD, (1, 5), (s * u5, t * v5, (s + t) * (u5 + v5)))
     row5 = probe_system(sq, "square case")
     assert row5.detectors == ["conic", "factorized", "pencil", "square"]
+
+
+def test_probe_propagates_detector_errors(monkeypatch):
+    # only ImpossibleFactorization means "no conic"; any other error from a
+    # detector is a bug and must not be swallowed
+    def broken(sys):
+        raise ArithmeticError("detector bug")
+    monkeypatch.setattr(lab, "detect_conic", broken)
+    with pytest.raises(ArithmeticError, match="detector bug"):
+        probe_system(_maps6(), "planted 0")
 
 
 def test_probe_generic_rows():

@@ -10,11 +10,11 @@ from bigres.exactcore import (GF, QQ, ExactMatrix, kernel_data, mat_from_blocks,
                               mat_hstack, mat_mul, mat_rank, mat_vstack, rref)
 from bigres.bipoly import BiPoly, SystemF, mul_matrix, strand_dim
 from bigres.combinat import chi, cod, dom, nd
-from bigres.strands import (_inverse_block, _koszul_strands, _phi_sources,
-                            _quotient_echelon, critical_ranges,
-                            h1_dim, h1_support_box, hf_quotient, is_generic,
-                            koszul_strand_homology, phi_matrices)
-from bigres.betti import _H1Strands, _QuotientStrands
+from bigres.strands import (_inverse_block, _koszul_differential, _koszul_spots,
+                            _phi_sources, _quotient_echelon, _ring_differential,
+                            critical_ranges, h1_dim, h1_support_box, hf_quotient,
+                            is_generic, koszul_strand_homology, phi_matrices)
+from bigres.betti import VAR_DEGREES, _H1Strands, _QuotientStrands
 from bigres.cli import load_system
 from helpers import (data_path, inverse_block_oracle, mod_p, random_bpf_system,
                      random_system)
@@ -82,10 +82,11 @@ def test_builders_return_field_dtype(fld):
             m.transpose(), m.copy(), mat_mul(m, m.transpose()),
             mat_hstack(fld, [m, m]), mat_vstack(fld, [m, m]),
             mat_from_blocks(fld, [2, 1], [3, 2], {(0, 0): m.data}), mat_from_cols(fld, [[1, 2]], 2),
-            rref(m)[0], kernel_data(m)[0], mul_matrix(sys_.polys[0], (1, 2)).matrix,
-            phi_matrices(sys_, (4, 2))[0].matrix, phi_matrices(sys_, (0, 6))[1].matrix,
+            rref(m)[0], kernel_data(m)[0], mul_matrix(sys_.polys[0], (1, 2)),
+            *phi_matrices(sys_, (4, 2))[:1], *phi_matrices(sys_, (0, 6))[1:],
             _inverse_block(sys_.polys[0], src1), _inverse_block(sys_.polys[0], src2),
-            *_koszul_strands(sys_, (5, 6)), _quotient_echelon(sys_, (1, 2))[3]]
+            *(_ring_differential(sys_, (5, 6), j) for j in (1, 2, 3)),
+            _quotient_echelon(sys_, (1, 2))[3]]
     mats += [_QuotientStrands(sys_).action(xi, (1, 2)) for xi in range(4)]
     mats += [_H1Strands(sys_).action(xi, (1, 6)) for xi in (2, 3)]
     scalar = int if fld.is_prime_field else Fraction
@@ -132,7 +133,7 @@ def _direct_koszul_ranks(sys_, a):
     def mm(g, k):  # multiplication by g from strand b[k] to strand b[k-1]
         if strand_dim(b[k]) == 0:
             return ExactMatrix.zeros(fld, strand_dim(b[k - 1]), 0)
-        return mul_matrix(g, b[k]).matrix
+        return mul_matrix(g, b[k])
 
     def z(k):
         return ExactMatrix.zeros(fld, strand_dim(b[k - 1]), strand_dim(b[k]))
@@ -143,6 +144,40 @@ def _direct_koszul_ranks(sys_, a):
                               mat_hstack(fld, [z(2), mm(-f0, 2), mm(-f1, 2)])])
     delta3 = mat_vstack(fld, [mm(-f2, 3), mm(f1, 3), mm(-f0, 3)])
     return tuple(mat_rank(m) for m in (delta1, delta2, delta3))
+
+
+def _ring_spot_dims(d, a):
+    """Spot dims of the Koszul complex on three forms of degree d acting on
+    R at degree a: dim R_a, then 3, 3 and 1 copies of R_(a - k d)."""
+    return [strand_dim(a)] + [3 * strand_dim((a[0] - k * d[0], a[1] - k * d[1]))
+                              for k in (1, 2)] + [strand_dim((a[0] - 3 * d[0], a[1] - 3 * d[1]))]
+
+
+@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 1)])
+def test_koszul_differentials_are_complexes(d, fld):
+    # every Koszul strand comes from one builder: on R over the net, and on
+    # R/I and H1 over the variables.  Consecutive differentials compose to
+    # zero and the spots have the closed-form dims; the box reaches 3d + 1,
+    # so d_3 of the ring complex is nonzero in it.  The ranks are checked
+    # against matrices built from mul_matrix by the store test below.
+    sys_ = random_bpf_system(fld, d, random.Random(40 * d[0] + d[1]))
+    modules = [((d,) * 3, strand_dim, lambda l, b: mul_matrix(sys_.polys[l], b))]
+    modules += [(VAR_DEGREES, p.dim, p.action) for p in (_QuotientStrands(sys_), _H1Strands(sys_))]
+    for a1 in range(3 * d[0] + 2):
+        for a2 in range(3 * d[1] + 2):
+            a = (a1, a2)
+            spots = [_koszul_spots((d,) * 3, a, j) for j in range(4)]
+            assert [sum(strand_dim(b) for _, b in g) for g in spots] == _ring_spot_dims(d, a)
+            for degs, dim, action in modules:
+                diffs = [_koszul_differential(fld, degs, a, j, dim, action)
+                         for j in range(1, len(degs) + 1)]
+                for j, m in enumerate(diffs, 1):
+                    assert m.data.dtype == fld.dtype
+                    assert m.rows == sum(dim(b) for _, b in _koszul_spots(degs, a, j - 1))
+                    assert m.cols == sum(dim(b) for _, b in _koszul_spots(degs, a, j))
+                for lo, hi in zip(diffs, diffs[1:]):
+                    assert mat_mul(lo, hi).is_zero(), (a, degs)
 
 
 @pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
@@ -158,18 +193,17 @@ def test_store_matches_direct_eliminations(d, fld):
         for a2 in range(3 * d2 + 3):
             a = (a1, a2)
             ranks = (0,) + _direct_koszul_ranks(sys_, a) + (0,)
-            dims = [strand_dim(a)] + [3 * strand_dim((a1 - k * d1, a2 - k * d2))
-                                      for k in (1, 2)] + [strand_dim((a1 - 3 * d1, a2 - 3 * d2))]
+            dims = _ring_spot_dims(d, a)
             for i in range(4):
                 assert koszul_strand_homology(sys_, a, i) == \
                     dims[i] - ranks[i] - ranks[i + 1], (a, i)
             assert hf_quotient(sys_, a) == dims[0] - ranks[1]
             phis = phi_matrices(sys_, a)
-            assert h1_dim(sys_, a) == sum(p.cols - mat_rank(p.matrix) for p in phis)
+            assert h1_dim(sys_, a) == sum(p.cols - mat_rank(p) for p in phis)
     witness = None
     for a1 in range(4 * d1 + 1):
         for a2 in range(4 * d2 + 1):
-            if witness is None and any(mat_rank(p.matrix) != min(p.rows, p.cols)
+            if witness is None and any(mat_rank(p) != min(p.rows, p.cols)
                                        for p in phi_matrices(sys_, (a1, a2))):
                 witness = (a1, a2)
     verdict = is_generic(sys_)
@@ -193,7 +227,7 @@ def test_maps6_phi1_shape():
     phi1, phi2 = phi_matrices(sys_, (3, 6))
     assert (phi1.rows, phi1.cols) == (30, 11)
     assert (phi2.rows, phi2.cols) == (0, 0)
-    m = phi1.matrix.data
+    m = phi1.data
     # the middle source element 1/(u^6 v^6) is annihilated by all three forms
     assert not m[:, 5].any()
     want = [["I", "0", "0"], ["0", "0", "0"], ["0", "0", "0"],
