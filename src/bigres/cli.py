@@ -100,6 +100,14 @@ def _pair(text, what):
         raise UsageError(f"{what} must be two comma-separated integers")
 
 
+def _degree(text):
+    """--d: the bidegree of the forms, at least (1,1)."""
+    d = _pair(text, "--d")
+    if min(d) < 1:
+        raise UsageError("--d entries must be at least 1")
+    return d
+
+
 def _box(text):
     box = _pair(text, "--box")
     if min(box) < 0:
@@ -237,14 +245,14 @@ def emit_svg(spec, path):
 # --------------------------------------------------------------- subcommands
 
 def cmd_nd(args, out):
-    d = _pair(args.d, "--d")
+    d = _degree(args.d)
     box = _box(args.box)
     out.write(render_grid(nd_grid(d, box)))
     return 0
 
 
 def cmd_chi(args, out):
-    d = _pair(args.d, "--d")
+    d = _degree(args.d)
     box = _box(args.box)
     for label, fn in (("chi", lambda a: chi(d, a)),
                       ("chi_plus", lambda a: pos_part(chi(d, a))),
@@ -324,7 +332,9 @@ def cmd_generic(args, out):
 
 
 def cmd_lab(args, out):
-    d = _pair(args.d, "--d")
+    d = _degree(args.d)
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     cfg = labmod.ExperimentConfig(
         d=d, trials=args.trials, seed=args.seed,
         field=parse_field(args.field),

@@ -6,32 +6,24 @@ facts that depend on the field (the dtype, the zero array and the reduction
 mod p), so products, stacking, kernels and determinants take one path.
 Block matrices, every strand matrix of the package among them, are
 assembled only by mat_from_blocks, the one place that computes block
-offsets.  Elimination has one kernel per field, and both share one
-deterministic pivoting rule (first nonzero entry, columns scanned left to
-right), so ranks, kernels and reduced echelon forms are bit-reproducible:
+offsets.  Elimination has one kernel, _rref_prime, and its pivoting rule
+(first nonzero entry, columns scanned left to right) makes ranks, kernels
+and reduced echelon forms bit-reproducible:
 
-* GF(p): elimination runs on a float64 copy with delayed reduction:
-  entries are nonnegative integers, reduced mod p only just before use, and
-  the code keeps a bound on every unreduced block.  Each 32-wide column
-  panel is eliminated forward only; one matmul per panel updates the
-  trailing block, and blocked back-substitution on the free columns gives
-  the reduced form.  float64 holds every integer below 2^53 exactly; the
-  floor-based reduction needs values up to 2^51 - p, and a block is reduced
-  before its bound would pass that.  A reduced entry plus a dot product of
-  32 reduced entries stays below it: FieldSpec admits only p with
-  128 (p-1)^2 < 2^53, and even for the largest such prime, 8388593,
-  2^51 - 32 (p-1)^2 is about 8.6e9, far above 2p.
-* Q: forward elimination is fraction-free (Bareiss) on denominator-cleared
-  integer rows, then the staircase is normalized to reduced echelon form
-  with exact rationals.
+* GF(p): _rref_prime eliminates a float64 copy in 32-wide column panels
+  with delayed reduction, exact as long as every entry stays below 2^51;
+  FieldSpec admits only the p for which one panel of updates does.
+* Q: _rref_rational lifts the RREF from _rref_prime modulo several primes
+  and returns it only once an exact integer check proves it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -41,15 +33,9 @@ _ROW_CHUNK = 512  # rows per trailing-update matmul; bounds its temporary
 _EXACT = 2 ** 51  # float64 is exact to 2^53; see _rref_prime for the margin
 
 
+@cache
 def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n > 1 and all(n % i for i in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -449,62 +435,75 @@ def _unitri_inverse(S, red):
 
 # -------------------------------------------------------------------- Q RREF
 
-def _clear_rows(rows):
-    """Scale each Fraction row to integers (row scaling keeps rank/kernel/rowspace)."""
-    out = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        out.append([int(x * den) for x in row])
+_RATIO = np.frompyfunc(Fraction.as_integer_ratio, 1, 2)
+
+
+def _integral(F):
+    """(F den, den): den is the column of each row's lcm of denominators."""
+    num, den = _RATIO(F)
+    lcms = np.lcm.reduce(den, axis=1, keepdims=True, initial=1)
+    return num * (lcms // den), lcms
+
+
+def _lift(X, M):
+    """X as the Fractions n/d == X mod M with |n|, d <= isqrt(M / 2), by
+    rational reconstruction (half-extended Euclid); None at the first entry
+    that has none."""
+    bound = isqrt(M // 2)
+    out = np.empty(X.shape, dtype=object)
+    for i, x in enumerate(X.flat):
+        r0, r1, t0, t1 = M, x, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if not 0 < abs(t1) <= bound:
+            return None
+        out.flat[i] = Fraction(r1, t1)
     return out
 
 
-def _rref_rational(rows):
-    """RREF over Q with first-nonzero pivoting; returns (Fraction rows, pivots).
+def _rref_rational(a):
+    """RREF over Q of a Fraction array, lifted from _rref_prime; returns
+    (Fraction array, pivots).
 
-    Forward sweep is fraction-free (Bareiss): after step k every entry is a
-    (k+1)-minor of the cleared input, so the division by the previous pivot
-    is exact.  Only rows below the pivot are eliminated; the reduced form is
-    then obtained by exact back-substitution over Q.
+    * Each row is scaled to integers once, by the lcm of its denominators;
+      that keeps rank, kernel and row space.  The integer matrix A is then
+      eliminated modulo primes counting down from 8388593.
+    * Modulo p the rank is at most the rank over Q, and at equal rank the
+      pivots are lexicographically at least the Q pivots.  So a prime with
+      more pivots, or as many coming earlier, restarts the lift; a prime
+      with any other pivot set is skipped.
+    * The entries X of the pivot rows on the free columns are combined by
+      CRT and lifted by _lift each time the modulus has doubled in bits.
+      With den scaling each column of X to integers, X is returned only if
+      A[:, free] den == A[:, piv] @ (X den) over Python ints.  That bounds
+      the rank over Q by the rank mod p, and as X is zero left of each
+      pivot, as in every echelon form mod p, it proves rank, pivots and X.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 or n == 0:
-        return [list(r) for r in rows], []
-    a = _clear_rows(rows)
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+    m, n = a.shape
+    A = _integral(a)[0]
+    best = None
+    for p in filter(_is_prime, range(8388593, 3, -2)):
+        R, piv = _rref_prime((A % p).astype(np.int64), p)
+        if best is None or (len(piv), best) > (len(best), piv):
+            best, free, M, tried = piv, free_columns(n, piv), 1, 0
+            X = np.zeros((len(piv), len(free)), dtype=object)
+        elif piv != best:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        piv = a[r][c]
-        ar = a[r]
-        for i in range(r + 1, m):
-            ai = a[i]
-            f = ai[c]
-            for j in range(c, n):
-                ai[j] = (piv * ai[j] - f * ar[j]) // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    out = [[Fraction(0)] * n for _ in range(m)]
-    for k in range(len(pivots) - 1, -1, -1):
-        piv = a[k][pivots[k]]
-        row = [Fraction(x, piv) for x in a[k]]
-        for k2 in range(k + 1, len(pivots)):
-            f = row[pivots[k2]]
-            if f:
-                row = [x - f * y for x, y in zip(row, out[k2])]
-        out[k] = row
-    return out, pivots
+        X += M * ((R[:len(piv), free] - X % p) * pow(M, -1, p) % p)
+        M *= p
+        if M.bit_length() < 2 * tried:
+            continue
+        tried = M.bit_length()
+        F = _lift(X, M)
+        if F is None:
+            continue
+        Y, den = _integral(F.T)
+        if (A[:, free] * den.T == A[:, piv] @ Y.T).all():
+            out = QQ.zeros((m, n))
+            out[np.arange(len(piv)), piv] = Fraction(1)
+            out[:len(piv), free] = F
+            return out, piv
 
 
 def rref(m):
@@ -512,8 +511,7 @@ def rref(m):
     if m.field.is_prime_field:
         data, piv = _rref_prime(m.data, m.field.p)
     else:
-        rows, piv = _rref_rational(m.data.tolist())
-        data = np.array(rows, dtype=object).reshape(m.rows, m.cols)
+        data, piv = _rref_rational(m.data)
     return ExactMatrix(m.field, data), tuple(piv)
 
 

@@ -172,6 +172,17 @@ def test_usage_errors(tmp_path, capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: box too small: need at least (4,7)\n"
+    # --d below (1,1) and --trials below 1 are usage errors too, reported
+    # before any computation and by the flag the user gave
+    small_d = "error: --d entries must be at least 1\n"
+    for argv, err in ((["lab", "--d", "0,2"], small_d),
+                      (["lab", "--d", "1,2", "--trials", "0"],
+                       "error: --trials must be at least 1\n"),
+                      (["chi", "--d", "0,2", "--box", "3,3"], small_d),
+                      (["nd", "--d", "0,2", "--box", "3,3"], small_d)):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err, argv
 
 
 def test_svg_deterministic(tmp_path, capsys):

@@ -14,8 +14,8 @@ from bigres.exactcore import (GF, QQ, DEFAULT_PRIME, ExactMatrix, kernel_data,
 
 
 def naive_rref(rows):
-    # classic Gauss-Jordan over Fraction; the production code is Bareiss, so
-    # agreement here is a genuine two-route check
+    # classic Gauss-Jordan over Fraction; the production code lifts the RREF
+    # from elimination modulo primes, so agreement is a genuine two-route check
     a = [[Fraction(x) for x in r] for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
@@ -53,16 +53,17 @@ def naive_det(rows):
 
 
 small_entries = st.integers(min_value=-6, max_value=6)
+small_rationals = st.one_of(small_entries, st.fractions(-6, 6, max_denominator=9))
 
 
 @st.composite
-def int_matrix(draw, max_dim=6):
+def small_matrix(draw, max_dim=6, entries=small_entries):
     m = draw(st.integers(1, max_dim))
     n = draw(st.integers(1, max_dim))
-    return [[draw(small_entries) for _ in range(n)] for _ in range(m)]
+    return [[draw(entries) for _ in range(n)] for _ in range(m)]
 
 
-@given(int_matrix())
+@given(small_matrix(entries=small_rationals))
 @settings(max_examples=150, deadline=None)
 def test_rational_rref_matches_naive(rows):
     got, piv = rref(ExactMatrix.from_rows(QQ, rows))
@@ -71,7 +72,31 @@ def test_rational_rref_matches_naive(rows):
     assert got.to_lists() == want
 
 
-@given(int_matrix())
+def _low_rank_rationals(m, n, k, bits, rng):
+    """An m x n product of an m x k and a k x n matrix whose entries are
+    fractions with numerators and denominators of about `bits` bits."""
+    def frac():
+        return Fraction(rng.getrandbits(bits) - 2 ** (bits - 1), rng.getrandbits(bits) | 1)
+    left = [[frac() for _ in range(k)] for _ in range(m)]
+    right = [[frac() for _ in range(n)] for _ in range(k)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+            for row in left]
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1], [1, 1 + 8388593]],  # rank 1 modulo the first prime, 2 over Q
+    [[8388593, 1]],              # pivot column 1 modulo the first prime, 0 over Q
+    _low_rank_rationals(6, 7, 4, 64, random.Random(7)),  # needs many primes
+], ids=["rank-drop", "pivot-shift", "large-entries"])
+def test_rational_rref_lift_matches_naive(rows):
+    got, piv = rref(ExactMatrix.from_rows(QQ, rows))
+    want, wpiv = naive_rref(rows)
+    assert list(piv) == wpiv
+    assert got.to_lists() == want
+    assert mat_rank(ExactMatrix.from_rows(QQ, rows)) == len(wpiv)
+
+
+@given(small_matrix())
 @settings(max_examples=150, deadline=None)
 def test_prime_rref_matches_naive_mod_p(rows):
     # entries stay far below p, so the mod-p image of the Q pivots is exact
@@ -86,7 +111,7 @@ def test_prime_rref_matches_naive_mod_p(rows):
     assert got.to_lists() == lifted
 
 
-@given(int_matrix())
+@given(small_matrix())
 @settings(max_examples=100, deadline=None)
 def test_rank_nullity_and_kernel(rows):
     for fld in (QQ, GF()):
@@ -101,7 +126,7 @@ def test_rank_nullity_and_kernel(rows):
             assert k.get(c, j) == fld.one()
 
 
-@given(int_matrix())
+@given(small_matrix())
 @settings(max_examples=60, deadline=None)
 def test_rank_transpose_invariant(rows):
     for fld in (QQ, GF()):
@@ -109,7 +134,7 @@ def test_rank_transpose_invariant(rows):
         assert mat_rank(m) == mat_rank(m.transpose())
 
 
-@given(int_matrix(max_dim=5))
+@given(small_matrix(max_dim=5))
 @settings(max_examples=100, deadline=None)
 def test_rank_agrees_between_fields(rows):
     # minors are bounded by 5! * 6^5 < 32003^2, but a single prime can still

@@ -41,3 +41,12 @@ def test_probe_structures():
     assert len(lines) == 9
     assert lines[1] == '  classify: {"evidence": {"syzygy_degree": [3, 3]}, "verdict": "SmoothConic"}'
     assert '"label": "random-control"' in lines[-1]
+
+
+def test_dev_sign_search():
+    lines = run_script("dev_sign_search.py", "--n", "5", "--points", "2")
+    assert lines[0] == "n=5 seed=0: 2 surviving sign assignments out of 4096"
+    # the first survivor is the convention betti.syz3star hard-codes
+    assert lines[1] == ("  a=(+m12, -m02, +m01)  b=(+m15-m24, +m23-m05, +m04-m13)"
+                        "  c=(+m45, -m35, +m34)")
+    assert len(lines) == 3
