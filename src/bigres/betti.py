@@ -28,8 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .exactcore import (ExactMatrix, kernel_data, mat_from_blocks, mat_hstack, mat_mul,
-                        mat_rank, rref)
+from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
 from .bipoly import (BiPoly, BinaryForm, _term_rows, binary_from_bipoly, gcd_binary,
                      mul_matrix, split_st, strand_dim)
 from .strands import (_inverse_block, _koszul_differential, _koszul_spots, _phi_kernels,
@@ -396,7 +395,10 @@ def hb_kernel(q, degree=None):
                          "syzygy module is not free of rank m-1 here")
     found = []
     for b in range(0, 3 * n + 1):
-        stacked = mat_hstack(fld, [mul_matrix(qq.to_bipoly(), (0, b)) for qq in q])
+        # the row [q_0 ... q_(m-1)] on the degree-b strand
+        stacked = mat_from_blocks(fld, [n + b + 1], [b + 1] * m,
+                                  {(0, l): mul_matrix(qq.to_bipoly(), (0, b)).data
+                                   for l, qq in enumerate(q)})
         kern = kernel_data(stacked)[0]
         if kern.cols:
             # multiples of the generators found so far: the degree-b strand
@@ -404,7 +406,8 @@ def hb_kernel(q, degree=None):
             blocks = {(l, c): mul_matrix(gen[l].to_bipoly(), (0, b - bk)).data
                       for c, (gen, bk) in enumerate(found) for l in range(m)}
             span = mat_from_blocks(fld, [b + 1] * m, [b - bk + 1 for _, bk in found], blocks)
-            _, piv = rref(mat_hstack(fld, [span, kern]))
+            _, piv = rref(mat_from_blocks(fld, [m * (b + 1)], [span.cols, kern.cols],
+                                          {(0, 0): span.data, (0, 1): kern.data}))
             for j in range(kern.cols):
                 if span.cols + j in piv:
                     col = kern.col(j)

@@ -76,6 +76,8 @@ def load_system(path):
         raise UsageError(f"{path}: malformed system file ({e})")
     except ValueError as e:
         raise UsageError(f"{path}: {e}")
+    except ZeroDivisionError:
+        raise UsageError(f"{path}: zero denominator in a coefficient")
 
 
 def dump_system(sys_):

@@ -3,7 +3,7 @@
 A matrix is one numpy array for both fields: int64 residues in [0, p) over
 GF(p), Fraction objects (dtype object) over Q.  FieldSpec holds the only
 facts that depend on the field (the dtype, the zero array and the reduction
-mod p), so products, stacking, kernels and determinants take one path.
+mod p), so products and kernels take one path.
 Block matrices, every strand matrix of the package among them, are
 assembled only by mat_from_blocks, the one place that computes block
 offsets.  Elimination has one kernel, _rref_prime, and its pivoting rule
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import isqrt, lcm
+from math import isqrt
 
 import numpy as np
 
@@ -143,9 +143,9 @@ class ExactMatrix:
     """Dense matrix over a FieldSpec.
 
     data is a 2-D numpy array of field.dtype: int64 residues over GF(p),
-    Fractions (dtype object) over Q; rows and cols read its shape.  get, row
-    and to_lists return Python ints or Fractions.  Empty shapes (0 x n,
-    n x 0) are legal throughout.
+    Fractions (dtype object) over Q; rows and cols read its shape.  get and
+    col return Python ints or Fractions.  Empty shapes (0 x n, n x 0) are
+    legal throughout.
     """
 
     field: FieldSpec
@@ -181,23 +181,8 @@ class ExactMatrix:
     def get(self, i, j):
         return self.data.item(i, j)
 
-    def set(self, i, j, v):
-        self.data[i, j] = self.field.normalize(v)
-
-    def row(self, i):
-        return self.data[i].tolist()
-
     def col(self, j):
         return self.data[:, j].tolist()
-
-    def to_lists(self):
-        return self.data.tolist()
-
-    def copy(self):
-        return ExactMatrix(self.field, self.data.copy())
-
-    def transpose(self):
-        return ExactMatrix(self.field, np.ascontiguousarray(self.data.T))
 
     def is_zero(self):
         return not self.field.reduce(self.data).any()
@@ -223,26 +208,6 @@ def mat_mul(a, b):
     return ExactMatrix(f, out)
 
 
-def mat_hstack(field, blocks):
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("no blocks")
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise ValueError("row mismatch")
-    return ExactMatrix(field, np.hstack([b.data for b in blocks]))
-
-
-def mat_vstack(field, blocks):
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("no blocks")
-    cols = blocks[0].cols
-    if any(b.cols != cols for b in blocks):
-        raise ValueError("col mismatch")
-    return ExactMatrix(field, np.vstack([b.data for b in blocks]))
-
-
 def mat_from_blocks(field, row_dims, col_dims, blocks):
     """Block matrix whose block rows have heights row_dims and whose block
     columns have widths col_dims; the one place that computes block offsets.
@@ -261,14 +226,6 @@ def mat_from_blocks(field, row_dims, col_dims, blocks):
                              f"its slot {(row_dims[i], col_dims[j])}")
         out[r0[i]:r0[i + 1], c0[j]:c0[j + 1]] = blk
     return ExactMatrix(field, out)
-
-
-def mat_from_cols(field, cols, nrows):
-    m = ExactMatrix.zeros(field, nrows, len(cols))
-    for j, c in enumerate(cols):
-        for i, v in enumerate(c):
-            m.set(i, j, v)
-    return m
 
 
 # ---------------------------------------------------------------- GF(p) RREF
@@ -551,71 +508,3 @@ def kernel_data(m):
     k.data[free, np.arange(len(free))] = f.one()
     k.data[list(piv)] = f.reduce(-R.data[:len(piv), free])
     return k, tuple(free.tolist())
-
-
-def kernel_matrix(m):
-    """Kernel as an ExactMatrix whose columns form the echelonized basis."""
-    return kernel_data(m)[0]
-
-
-def mat_kernel_basis(m):
-    """Kernel basis as a list of column vectors (lists of scalars)."""
-    k = kernel_matrix(m)
-    return [k.col(j) for j in range(k.cols)]
-
-
-def reduce_mod_span(v, basis):
-    """Reduce v modulo the column span of `basis`.
-
-    Returns (coeffs, residual): residual is the canonical representative with
-    zeros at the pivot coordinates fixed by the echelon form of the span, and
-    v == basis @ coeffs + residual.  coeffs are supported on the pivot
-    columns of `basis` (zero at dependent columns), so they are unique under
-    that convention.  residual == 0 iff v lies in the span.
-    """
-    f = basis.field
-    if len(v) != basis.rows:
-        raise ValueError("vector length must equal basis.rows")
-    v = [f.normalize(x) for x in v]
-    # canonical residual: eliminate pivot coordinates of the row space of basis^T
-    R, piv = rref(basis.transpose())
-    r = list(v)
-    for i, pc in enumerate(piv):
-        x = r[pc]
-        if f.is_zero(x):
-            continue
-        row = R.row(i)
-        for j in range(basis.rows):
-            r[j] = f.sub(r[j], f.mul(x, row[j]))
-    # express v - r in the basis columns: rref of [basis | v - r]
-    w = [f.sub(v[j], r[j]) for j in range(basis.rows)]
-    aug = mat_hstack(f, [basis, mat_from_cols(f, [w], basis.rows)])
-    Ra, piva = rref(aug)
-    coeffs = [f.zero()] * basis.cols
-    for i, pc in enumerate(piva):
-        if pc == basis.cols:
-            raise AssertionError("residual reduction failed to land in span")
-        coeffs[pc] = Ra.get(i, basis.cols)
-    return coeffs, r
-
-
-def mat_det(m):
-    """Determinant of a square matrix by Gaussian elimination (small matrices)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    f = m.field
-    a = m.to_lists()
-    det = f.one()
-    for c in range(m.rows):
-        i = next((i for i in range(c, m.rows) if not f.is_zero(a[i][c])), None)
-        if i is None:
-            return f.zero()
-        if i != c:
-            a[c], a[i] = a[i], a[c]
-            det = f.neg(det)
-        det = f.mul(det, a[c][c])
-        inv = f.inv(a[c][c])
-        for r in range(c + 1, m.rows):
-            x = f.mul(a[r][c], inv)
-            a[r] = [f.sub(y, f.mul(x, z)) for y, z in zip(a[r], a[c])]
-    return det

@@ -20,7 +20,7 @@ from .combinat import chi, nd, pos_part
 from .strands import check_box, critical_ranges, h1_dim, hf_quotient, is_generic
 from .betti import betti_table, nonkoszul_beta1
 from .segre import (ImpossibleFactorization, basepoint_free, detect_conic,
-                    extract_factorization, square_strand_det)
+                    extract_factorization, square_strand_singular)
 
 MAX_REJECTIONS = 100
 
@@ -247,7 +247,7 @@ def probe_system(sys, label, box=None):
         if mat_rank(ExactMatrix.from_rows(sys.field, rows)) <= 4:
             detectors.append("pencil")
         if tuple(sys.d) == (1, 5):
-            if sys.field.is_zero(square_strand_det(sys)[1]):
+            if square_strand_singular(sys)[1]:
                 detectors.append("square")
     note = "explained" if detectors else "unexplained (conjecture candidate)"
     return ProbeRow(label, False, verdict.witness, detectors, note)

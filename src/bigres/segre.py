@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .exactcore import (ExactMatrix, kernel_data, mat_det, mat_hstack,
-                        mat_kernel_basis, mat_rank)
+from .exactcore import ExactMatrix, kernel_data, mat_rank, rref
 from .bipoly import (BiPoly, BinaryForm, SystemF, binary_from_bipoly,
-                     binary_roots, gcd_binary, mul_matrix, split_st)
-from .strands import hf_quotient, phi_matrices
+                     binary_roots, gcd_binary, split_st)
+from .strands import _ring_differential, hf_quotient, phi_matrices
 from .betti import ResolutionComplex, SyzygyVector, hb_kernel
 
 
@@ -60,10 +59,10 @@ def _st_kernel_at(sys, uv_point):
     for f in sys.polys:
         p, q = split_st(f)
         rows.append([p.evaluate(*uv_point), q.evaluate(*uv_point)])
-    k = mat_kernel_basis(ExactMatrix.from_rows(fld, rows))
-    if not k:
+    k = kernel_data(ExactMatrix.from_rows(fld, rows))[0]
+    if not k.cols:
         return None
-    return (k[0][0], k[0][1])
+    return tuple(k.col(0))
 
 
 def basepoint_free(sys):
@@ -126,15 +125,15 @@ def detect_conic(sys):
     """Normal form behind a (3,n)-degree first syzygy, or None.
 
     The kernel of (A,B,C) -> A f0 + B f1 + C f2 on s,t-quadric coefficients
-    is computed as a 9-column strand map; a kernel vector whose coefficient
-    matrix has rank 3 rotates f into the normal basis.  Rank <= 2 kernels
-    contradict basepoint-freeness and raise ImpossibleFactorization.
+    is that of the generator strand [f0 f1 f2] at (3,n), a 9-column map; a
+    kernel vector whose coefficient matrix has rank 3 rotates f into the
+    normal basis.  Rank <= 2 kernels contradict basepoint-freeness and raise
+    ImpossibleFactorization.
     """
     if sys.d[0] != 1:
         raise ValueError("needs d = (1,n)")
     fld = sys.field
-    big = mat_hstack(fld, [mul_matrix(f, (2, 0)) for f in sys.polys])
-    kern = kernel_data(big)[0]
+    kern = kernel_data(_ring_differential(sys, (3, sys.d[1]), 1))[0]
     if kern.cols == 0:
         return None
     vec = kern.col(0)
@@ -249,14 +248,13 @@ def three_point_resolution(fb):
     if mat_rank(ExactMatrix.from_rows(fld, coeff_rows)) < 3:
         raise ConicRedirect("dependent (0,n) factors: conic construction applies")
     g0, g1, g2 = (g for g, _ in fb.pairs)
-    m2 = ExactMatrix.from_rows(fld, [list(_linear_st_coords(g0)),
-                                     list(_linear_st_coords(g1))])
-    if mat_rank(m2) < 2:
+    # the columns [g0 g1 | g2] in (s, t) coordinates: g2 = a g0 + b g1
+    # exactly, with (a, b) the last column of the reduced form
+    coords, piv = rref(ExactMatrix.from_rows(
+        fld, list(zip(*map(_linear_st_coords, (g0, g1, g2))))))
+    if piv != (0, 1):
         raise ValueError("parallel linear factors: system has a basepoint")
-    # g2 = a g0 + b g1 exactly
-    c2 = _linear_st_coords(g2)
-    sol = _solve2(fld, m2.transpose(), c2)
-    a, b = sol
+    a, b = coords.col(2)
     if fld.is_zero(a) or fld.is_zero(b):
         raise ValueError("linear factor g2 parallel to g0 or g1: basepoint")
     hsys = SystemF(fld, (1, n), fb.products())
@@ -310,19 +308,6 @@ def three_point_resolution(fb):
               [(2, 3 * n), (2, 3 * n), (3, 2 * n), (3, 2 * n), (3, 2 * n)],
               [(3, 3 * n)]]
     return ResolutionComplex(hsys, shifts, [d1, d2, d3])
-
-
-def _solve2(fld, m2, rhs):
-    """Solve a 2x2 system exactly; raises on singular input."""
-    a, bq = m2.get(0, 0), m2.get(0, 1)
-    c, dq = m2.get(1, 0), m2.get(1, 1)
-    det = fld.sub(fld.mul(a, dq), fld.mul(bq, c))
-    if fld.is_zero(det):
-        raise ValueError("singular 2x2 solve")
-    inv = fld.inv(det)
-    x = fld.mul(inv, fld.sub(fld.mul(dq, rhs[0]), fld.mul(bq, rhs[1])))
-    y = fld.mul(inv, fld.sub(fld.mul(a, rhs[1]), fld.mul(c, rhs[0])))
-    return x, y
 
 
 def lift_syzygy(fb, avec):
@@ -390,8 +375,10 @@ def quartic_value(fld, x):
     return val
 
 
-def square_strand_det(sys):
-    """The 6x6 coefficient matrix at bidegree (3,8) for d=(1,5), and its det.
+def square_strand_singular(sys):
+    """The 6x6 coefficient matrix at bidegree (3,8) for d=(1,5), and whether
+    it is singular (rank below 6); callers only ever need that bit, so no
+    determinant is formed.
 
     Rows interleave the split forms (p0,q0,p1,q1,p2,q2); columns list the
     u-exponent ascending, which is the reverse of the strand convention, so
@@ -402,7 +389,7 @@ def square_strand_det(sys):
     polys = sys.polys if isinstance(sys, SystemF) else list(sys)
     fld = polys[0].field
     if any(tuple(f.degree) != (1, 5) for f in polys) or len(polys) != 3:
-        raise ValueError("square determinant strand needs d == (1,5)")
+        raise ValueError("square strand needs d == (1,5)")
     rows = []
     for f in polys:
         p, q = split_st(f)
@@ -417,7 +404,7 @@ def square_strand_det(sys):
                                           for r in range(6)])
         if rev != m:
             raise AssertionError("coefficient layout disagrees with phi1 at (3,8)")
-    return m, mat_det(m)
+    return m, mat_rank(m) < 6
 
 
 def extract_factorization(sys):

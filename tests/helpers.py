@@ -5,6 +5,8 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from bigres.exactcore import GF, ExactMatrix, mat_rank
 from bigres.bipoly import BiPoly, SystemF, strand_basis
 from bigres.segre import basepoint_free
@@ -84,8 +86,19 @@ def inverse_block_oracle(f, src):
                     continue
                 row = ((tgt.st_deg - (x + al)) * (tgt.uv_order + 1)
                        + (tgt.uv_order - (y - ga)))
-            m.set(row, col, fld.add(m.get(row, col), coef))
+            m.data[row, col] = fld.add(m.get(row, col), coef)
     return m
+
+
+def mat_hstack(field, blocks):
+    """The blocks side by side: a plain-numpy reference for mat_from_blocks."""
+    return ExactMatrix(field, np.hstack([b.data for b in blocks]))
+
+
+def mat_vstack(field, blocks):
+    """The blocks one above the other: a plain-numpy reference for
+    mat_from_blocks."""
+    return ExactMatrix(field, np.vstack([b.data for b in blocks]))
 
 
 def mod_p(x, p):

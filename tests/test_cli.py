@@ -156,6 +156,14 @@ def test_usage_errors(tmp_path, capsys):
                                       "polys": [[["1", 1, 0, 1, 0]]]}))
     assert main(["betti", str(incomplete), "--box", "4,4"]) == 2
     assert "3 polynomials" in capsys.readouterr().err
+    # a zero denominator is a malformed file too, named in one line
+    zero_den = tmp_path / "q0.json"
+    zero_den.write_text(json.dumps({"field": "Q", "d": [1, 1], "polys": [
+        [["1/0", 1, 0, 1, 0]], [["1", 0, 1, 0, 1]], [["1", 1, 0, 0, 1]]]}))
+    assert main(["hf", str(zero_den), "--box", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert str(zero_den) in captured.err
     # a negative --box entry is a usage error, not a crash or an empty grid
     for argv in (["nd", "--d", "1,6", "--box=-1,3"],
                  ["hf", MAPS6, "--box=-1,2"],

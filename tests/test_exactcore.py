@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bigres.exactcore import (GF, QQ, DEFAULT_PRIME, ExactMatrix, kernel_data,
-                              kernel_matrix, mat_det, mat_from_blocks, mat_hstack,
-                              mat_kernel_basis, mat_mul, mat_rank, mat_vstack,
-                              reduce_mod_span, rref)
+                              mat_from_blocks, mat_mul, mat_rank, rref)
+
+from helpers import mat_hstack, mat_vstack
 
 
 def naive_rref(rows):
@@ -39,19 +39,6 @@ def naive_rref(rows):
     return a, piv
 
 
-def naive_det(rows):
-    rows = [[Fraction(x) for x in r] for r in rows]
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = Fraction(0)
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * naive_det(minor)
-        acc += term if j % 2 == 0 else -term
-    return acc
-
-
 small_entries = st.integers(min_value=-6, max_value=6)
 small_rationals = st.one_of(small_entries, st.fractions(-6, 6, max_denominator=9))
 
@@ -69,7 +56,7 @@ def test_rational_rref_matches_naive(rows):
     got, piv = rref(ExactMatrix.from_rows(QQ, rows))
     want, wpiv = naive_rref(rows)
     assert list(piv) == wpiv
-    assert got.to_lists() == want
+    assert got.data.tolist() == want
 
 
 def _low_rank_rationals(m, n, k, bits, rng):
@@ -92,7 +79,7 @@ def test_rational_rref_lift_matches_naive(rows):
     got, piv = rref(ExactMatrix.from_rows(QQ, rows))
     want, wpiv = naive_rref(rows)
     assert list(piv) == wpiv
-    assert got.to_lists() == want
+    assert got.data.tolist() == want
     assert mat_rank(ExactMatrix.from_rows(QQ, rows)) == len(wpiv)
 
 
@@ -108,7 +95,7 @@ def test_prime_rref_matches_naive_mod_p(rows):
     assert list(piv) == wpiv
     lifted = [[(x.numerator * pow(x.denominator, p - 2, p)) % p for x in row]
               for row in want]
-    assert got.to_lists() == lifted
+    assert got.data.tolist() == lifted
 
 
 @given(small_matrix())
@@ -131,7 +118,7 @@ def test_rank_nullity_and_kernel(rows):
 def test_rank_transpose_invariant(rows):
     for fld in (QQ, GF()):
         m = ExactMatrix.from_rows(fld, rows)
-        assert mat_rank(m) == mat_rank(m.transpose())
+        assert mat_rank(m) == mat_rank(ExactMatrix(fld, m.data.T))
 
 
 @given(small_matrix(max_dim=5))
@@ -149,25 +136,6 @@ def test_rank_agrees_between_fields(rows):
             assert rp == rq
 
 
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
-@settings(max_examples=100, deadline=None)
-def test_det_matches_cofactor_oracle(rows):
-    want = naive_det(rows)
-    assert mat_det(ExactMatrix.from_rows(QQ, rows)) == want
-    assert mat_det(ExactMatrix.from_rows(GF(), rows)) == want % DEFAULT_PRIME
-
-
-def test_det_zero_iff_singular():
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        m = ExactMatrix.from_rows(QQ, rows)
-        assert (mat_det(m) == 0) == (mat_rank(m) < n)
-
-
 def test_empty_matrix_kernel_is_identity():
     # a 0 x 5 matrix kills nothing: kernel is all of K^5
     m = ExactMatrix.zeros(GF(), 0, 5)
@@ -179,51 +147,11 @@ def test_empty_matrix_kernel_is_identity():
 
 def test_dependent_columns_kernel():
     m = ExactMatrix.from_rows(QQ, [[1, 2], [2, 4]])
-    basis = mat_kernel_basis(m)
-    assert len(basis) == 1
-    v = basis[0]
+    k = kernel_data(m)[0]
+    assert k.cols == 1
+    v = k.col(0)
     # kernel of [[1,2],[2,4]] is spanned by (-2, 1)
     assert v[0] == -2 * v[1]
-
-
-def test_reduce_mod_span_prime_field():
-    fld = GF(5)
-    basis = ExactMatrix.from_rows(fld, [[1], [2]])
-    coeffs, residual = reduce_mod_span([2, 4], basis)
-    assert coeffs == [2]
-    assert residual == [0, 0]
-    _, residual = reduce_mod_span([0, 1], basis)
-    assert any(x % 5 for x in residual)
-
-
-def test_reduce_mod_span_membership_roundtrip():
-    rng = random.Random(3)
-    for fld in (GF(7), QQ):
-        for _ in range(25):
-            basis = ExactMatrix.from_rows(
-                fld, [[fld.rand(rng) for _ in range(3)] for _ in range(4)])
-            v = [fld.rand(rng) for _ in range(4)]
-            coeffs, residual = reduce_mod_span(v, basis)
-            recon = [fld.zero()] * 4
-            for j, cf in enumerate(coeffs):
-                for i in range(4):
-                    recon[i] = fld.add(recon[i], fld.mul(cf, basis.get(i, j)))
-            assert all(fld.is_zero(fld.sub(v[i], fld.add(recon[i], residual[i])))
-                       for i in range(4))
-            # membership: reducing a known combination leaves nothing
-            _, res2 = reduce_mod_span(recon, basis)
-            assert all(fld.is_zero(x) for x in res2)
-
-
-def test_stack_shapes_and_content():
-    fld = GF()
-    a = ExactMatrix.from_rows(fld, [[1, 2]])
-    b = ExactMatrix.from_rows(fld, [[3, 4]])
-    h = mat_hstack(fld, [a, b])
-    v = mat_vstack(fld, [a, b])
-    assert h.to_lists() == [[1, 2, 3, 4]]
-    assert v.to_lists() == [[1, 2], [3, 4]]
-    assert mat_hstack(fld, [ExactMatrix.zeros(fld, 2, 0), a.transpose()]).cols == 1
 
 
 @pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
@@ -242,17 +170,17 @@ def test_mat_from_blocks_matches_zero_padded_stacking(fld):
                 if trial and rng.random() < 0.6:  # trial 0 omits every block
                     for x in range(r):
                         for y in range(c):
-                            blk.set(x, y, rng.randint(-9, 9))
+                            blk.data[x, y] = fld.normalize(rng.randint(-9, 9))
                     blocks[i, j] = blk.data
                 row.append(blk)
             grid.append(mat_hstack(fld, row))
         want = mat_vstack(fld, grid)
         got = mat_from_blocks(fld, row_dims, col_dims, blocks)
         assert got.data.dtype == fld.dtype
-        assert got.to_lists() == want.to_lists(), trial
+        assert got.data.tolist() == want.data.tolist(), trial
         # the same blocks as ((i, j), array) pairs, produced one at a time
         pairs = ((key, blk) for key, blk in blocks.items())
-        assert mat_from_blocks(fld, row_dims, col_dims, pairs).to_lists() == want.to_lists()
+        assert mat_from_blocks(fld, row_dims, col_dims, pairs).data.tolist() == want.data.tolist()
         written |= set(blocks)
     assert {(1, 0), (1, 3), (0, 2), (2, 2)} <= written  # 0-row and 0-column blocks
     # a block must fit its slot exactly, also where numpy would broadcast it
@@ -267,7 +195,7 @@ def test_kernel_matrix_composes():
     for _ in range(20):
         rows = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
         m = ExactMatrix.from_rows(GF(7), rows)
-        k = kernel_matrix(m)
+        k = kernel_data(m)[0]
         if k.cols:
             assert mat_mul(m, k).is_zero()
 
@@ -380,7 +308,7 @@ def test_prime_kernel_matches_gauss_jordan(p):
         want, wpiv = gauss_jordan_mod(rows, p)
         got, piv = rref(m)
         assert list(piv) == wpiv, name
-        assert got.to_lists() == want, name
+        assert got.data.tolist() == want, name
         assert mat_rank(m) == len(wpiv), name
         k, free = kernel_data(m)
         assert list(free) == [c for c in range(n) if c not in wpiv], name
@@ -389,7 +317,7 @@ def test_prime_kernel_matches_gauss_jordan(p):
             expect[fc][j] = 1
             for i, pc in enumerate(wpiv):
                 expect[pc][j] = -want[i][fc] % p
-        assert k.to_lists() == expect, name
+        assert k.data.tolist() == expect, name
         most = max(most, len(wpiv))
     assert most > 128
 
@@ -403,4 +331,4 @@ def test_prime_rref_reduces_raw_entries():
     want, wpiv = gauss_jordan_mod(rows, 7)
     got, piv = rref(raw)
     assert list(piv) == wpiv
-    assert got.to_lists() == want
+    assert got.data.tolist() == want

@@ -27,3 +27,40 @@ def test_test_imports_are_declared():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - local - {"numpy"}
     assert third_party <= declared, sorted(third_party - declared)
+
+
+SRC = ROOT / "src" / "bigres"
+
+
+def _trees(paths):
+    return [(path, ast.parse(path.read_text(), str(path))) for path in sorted(paths)]
+
+
+def test_mat_from_blocks_is_the_only_assembler():
+    # no package module stacks arrays itself
+    stackers = {"hstack", "vstack", "block", "concatenate", "column_stack"}
+    stacking = [f"{path.name}:{node.lineno} {node.func.attr}"
+                for path, tree in _trees(SRC.glob("*.py")) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in stackers and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")]
+    assert not stacking, stacking
+
+
+def test_exactcore_functions_have_callers():
+    # every public function of exactcore is named in another package module
+    # or in scripts/, by a name, an attribute or an import
+    core = SRC / "exactcore.py"
+    public = {node.name for node in ast.parse(core.read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    paths = [p for p in [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")] if p != core]
+    named = set()
+    for _, tree in _trees(paths):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert public <= named, sorted(public - named)

@@ -1,12 +1,13 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bigres.exactcore import GF
+from bigres.exactcore import GF, QQ
 from bigres.bipoly import BiPoly, SystemF, binary_from_bipoly, split_st
 from bigres.strands import h1_dim
 from bigres.betti import betti_table, hb_kernel, verify_resolution
@@ -14,7 +15,7 @@ from bigres.segre import (BasepointVerdict, ConicRedirect, FactorizedBasis,
                           ImpossibleFactorization, basepoint_free, classify,
                           conic_resolution, detect_conic, extract_factorization,
                           lift_syzygy, pencil_expected_degrees, psi_image,
-                          quartic_value, square_strand_det,
+                          quartic_value, square_strand_singular,
                           three_point_resolution)
 from bigres.cli import load_system
 
@@ -186,11 +187,13 @@ def test_smoothconic_syzygy_equivalence():
 
 # ------------------------------------------------------- factorized systems
 
-def _three_point_basis(n, seed):
-    s, t = _var("s"), _var("t")
+def _three_point_basis(n, seed, fld=FLD, lines=((1, 0), (0, 1), (1, 1))):
+    """Factors g_i h_i with g_i = c_s s + c_t t for (c_s, c_t) in lines."""
+    s, t = BiPoly.variable(fld, "s"), BiPoly.variable(fld, "t")
     rng = random.Random(seed)
-    hs = [random_form(FLD, (0, n), rng) for _ in range(3)]
-    return FactorizedBasis([(s, hs[0]), (t, hs[1]), (s + t, hs[2])], i0=0), hs
+    hs = [random_form(fld, (0, n), rng) for _ in range(3)]
+    gs = [s * fld.normalize(cs) + t * fld.normalize(ct) for cs, ct in lines]
+    return FactorizedBasis(list(zip(gs, hs)), i0=0), hs
 
 
 def test_three_point_n3_cross_route():
@@ -213,6 +216,16 @@ def test_three_point_n4():
     assert level1[(1, 12)] == 1 and level1[(2, 8)] == 3
     hb_shifts = sorted(sh[1] for sh in rc.shifts[1] if sh[0] == 3)
     assert hb_shifts == sorted([4 + mu, 8 - mu])
+
+
+def test_three_point_rationals_non_unit_factors():
+    # s, 3t, 2s + 5t: the solve for g2 = a g0 + b g1 runs through the
+    # lifted RREF over Q and must give (a, b) = (2, 5/3)
+    fb, hs = _three_point_basis(3, 7, QQ, ((1, 0), (0, 3), (2, 5)))
+    rc = three_point_resolution(fb)
+    assert verify_resolution(rc).passed
+    assert (rc.diffs[1][1][0] - hs[2] * Fraction(2)).is_zero()
+    assert (rc.diffs[1][1][1] + hs[2] * Fraction(5, 3)).is_zero()
 
 
 def test_three_point_redirects_and_errors():
@@ -308,32 +321,29 @@ def test_quartic_nonzero_off_image():
     assert not FLD.is_zero(quartic_value(FLD, [1, 0, 0, 0, 0, 1]))
 
 
-# ------------------------------------------------------- square determinant
+# ------------------------------------------------------------ square strand
 
 def test_square_det_repeated_form():
     rng = random.Random(12)
     f0 = random_form(FLD, (1, 5), rng)
     f2 = random_form(FLD, (1, 5), rng)
-    _, det = square_strand_det([f0, f0, f2])
-    assert FLD.is_zero(det)
+    assert square_strand_singular([f0, f0, f2])[1]
 
 
 def test_square_det_matches_h1():
     rng = random.Random(13)
     generic = random_bpf_system(FLD, (1, 5), rng)
-    _, det = square_strand_det(generic)
-    assert not FLD.is_zero(det)
+    assert not square_strand_singular(generic)[1]
     assert h1_dim(generic, (3, 8)) == 0
     s, t = _var("s"), _var("t")
     u5, v5 = _monomial_form(5, 5), _monomial_form(5, 0)
     special = SystemF(FLD, (1, 5), (s * u5, t * v5, (s + t) * (u5 + v5)))
-    _, det = square_strand_det(special)
-    assert FLD.is_zero(det)
+    assert square_strand_singular(special)[1]
     assert h1_dim(special, (3, 8)) >= 1
 
 
 def test_square_det_factorized_samples():
-    # products of (1,3) and (0,2) factors: the determinant still detects
+    # products of (1,3) and (0,2) factors: singularity still detects
     # exactly the h1 jump, and the sampled products sit off the zero locus
     for seed in range(100, 104):
         rng = random.Random(seed)
@@ -345,15 +355,15 @@ def test_square_det_factorized_samples():
                 break
             except ValueError:
                 continue
-        _, det = square_strand_det(sys_)
-        assert FLD.is_zero(det) == (h1_dim(sys_, (3, 8)) >= 1)
-        assert not FLD.is_zero(det)
+        _, singular = square_strand_singular(sys_)
+        assert singular == (h1_dim(sys_, (3, 8)) >= 1)
+        assert not singular
 
 
 def test_square_det_wrong_degree():
     rng = random.Random(14)
     with pytest.raises(ValueError, match="1,5"):
-        square_strand_det(random_bpf_system(FLD, (1, 2), rng))
+        square_strand_singular(random_bpf_system(FLD, (1, 2), rng))
 
 
 # ------------------------------------------------------------ classification

@@ -6,8 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bigres.exactcore import (GF, QQ, ExactMatrix, kernel_data, mat_from_blocks, mat_from_cols,
-                              mat_hstack, mat_mul, mat_rank, mat_vstack, rref)
+from bigres.exactcore import GF, QQ, ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
 from bigres.bipoly import BiPoly, SystemF, mul_matrix, strand_dim
 from bigres.combinat import chi, cod, dom, nd
 from bigres.strands import (_inverse_block, _koszul_differential, _koszul_spots,
@@ -16,8 +15,8 @@ from bigres.strands import (_inverse_block, _koszul_differential, _koszul_spots,
                             is_generic, koszul_strand_homology, phi_matrices)
 from bigres.betti import VAR_DEGREES, _H1Strands, _QuotientStrands
 from bigres.cli import load_system
-from helpers import (data_path, inverse_block_oracle, mod_p, random_bpf_system,
-                     random_system)
+from helpers import (data_path, inverse_block_oracle, mat_hstack, mat_vstack, mod_p,
+                     random_bpf_system, random_system)
 
 FLD = GF()
 
@@ -54,8 +53,8 @@ def test_phi_blocks_prime_field_match_rationals(d):
                     got = _inverse_block(fp, src)
                     assert _inverse_block(fq, src) == want, (a1, a2)
                     assert got == inverse_block_oracle(fp, src), (a1, a2)
-                    assert got.to_lists() == [[mod_p(x, p) for x in row]
-                                              for row in want.to_lists()], (a1, a2)
+                    assert got.data.tolist() == [[mod_p(x, p) for x in row]
+                                              for row in want.data.tolist()], (a1, a2)
     # small coefficients keep the exact eliminations behind the actions cheap
     rng = random.Random(7 * d[0] + d[1])
     sq = random_system(QQ, d, rng)
@@ -65,8 +64,8 @@ def test_phi_blocks_prime_field_match_rationals(d):
         for a1 in range(2 * d[0] + 3):
             for a2 in range(2 * d[1] + 3):
                 for xi in range(4):
-                    want = pq.action(xi, (a1, a2)).to_lists()
-                    got = pp.action(xi, (a1, a2)).to_lists()
+                    want = pq.action(xi, (a1, a2)).data.tolist()
+                    got = pp.action(xi, (a1, a2)).data.tolist()
                     assert got == [[mod_p(x, p) for x in row] for row in want], \
                         (provider.__name__, a1, a2, xi)
 
@@ -79,9 +78,8 @@ def test_builders_return_field_dtype(fld):
     src1, src2 = _phi_sources(sys_.d, (4, 2))[0], _phi_sources(sys_.d, (0, 6))[1]
     m = ExactMatrix.from_rows(fld, [[1, 2, 0], [0, 3, 4]])
     mats = [m, ExactMatrix.zeros(fld, 2, 3), ExactMatrix.identity(fld, 3),
-            m.transpose(), m.copy(), mat_mul(m, m.transpose()),
-            mat_hstack(fld, [m, m]), mat_vstack(fld, [m, m]),
-            mat_from_blocks(fld, [2, 1], [3, 2], {(0, 0): m.data}), mat_from_cols(fld, [[1, 2]], 2),
+            mat_mul(m, ExactMatrix.from_rows(fld, [[1, 0], [2, 3], [0, 4]])),
+            mat_from_blocks(fld, [2, 1], [3, 2], {(0, 0): m.data}),
             rref(m)[0], kernel_data(m)[0], mul_matrix(sys_.polys[0], (1, 2)),
             *phi_matrices(sys_, (4, 2))[:1], *phi_matrices(sys_, (0, 6))[1:],
             _inverse_block(sys_.polys[0], src1), _inverse_block(sys_.polys[0], src2),
@@ -93,7 +91,7 @@ def test_builders_return_field_dtype(fld):
     for k, mat in enumerate(mats):
         assert isinstance(mat.data, np.ndarray) and mat.data.dtype == fld.dtype, k
         assert mat.data.shape == (mat.rows, mat.cols) and mat.data.size, k
-        assert all(type(x) is scalar for row in mat.to_lists() for x in row), k
+        assert all(type(x) is scalar for row in mat.data.tolist() for x in row), k
 
 
 @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 2)])
