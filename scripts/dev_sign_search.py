@@ -78,8 +78,8 @@ def main():
                [None] * 6 + [six[3], six[4], six[5]]]
     data = []
     for alpha, beta in pts:
-        nval = [[e.evaluate(alpha, beta) for e in row] for row in N]
-        mval = [[0 if e is None else e.evaluate(alpha, beta) for e in row]
+        nval = [[e.evaluate((0, 0, alpha, beta)) for e in row] for row in N]
+        mval = [[0 if e is None else e.evaluate((0, 0, alpha, beta)) for e in row]
                 for row in mrows_t]
         for k in range(5):
             keep = [c for c in range(5) if c != k]

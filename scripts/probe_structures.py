@@ -13,7 +13,7 @@ import random
 
 from bigres.exactcore import GF
 from bigres.bipoly import BiPoly, SystemF
-from bigres.segre import FactorizedBasis, classify, extract_factorization
+from bigres.segre import classify, extract_factorization
 from bigres.lab import ExperimentConfig, probe_system, sample_system
 
 

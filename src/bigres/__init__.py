@@ -3,4 +3,4 @@
 __version__ = "0.1.0"
 
 from .exactcore import GF, QQ, DEFAULT_PRIME, ExactMatrix, FieldSpec
-from .bipoly import BiPoly, BinaryForm, SystemF, strand_basis, strand_dim
+from .bipoly import BiPoly, SystemF, strand_basis, strand_dim

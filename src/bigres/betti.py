@@ -6,12 +6,14 @@ variable Koszul complex applied to the middle homology module H1 realized by
 kernel bases of the phi maps.  The two routes are kept separate on purpose;
 their pointwise relation is reported, not reconciled.
 
-Both routes read the per-system strand store of strands, which owns every
-elimination.  Quotient strands come from its echelon records: pivot monomials
-reduce to minus a tail over the quotient basis monomials, so multiplication
-by a variable is a row lookup, not a solve.  H1 strands come from its phi
-kernel records and exploit the identity pattern of echelonized kernel bases:
-coordinates of a kernel vector are its entries at the free columns.
+Both routes read kernel_data records of the per-system strand store of
+strands, which owns every elimination, and both exploit the identity pattern
+of echelonized kernel bases.  Quotient strands come from the kernel of d_1^T,
+the inverse system of I at that degree: its free monomials are the quotient
+basis, and row m of its kernel matrix holds the R/I coordinates of monomial
+m, so multiplication by a variable is a row lookup, not a solve.  H1 strands
+come from the phi kernel records: coordinates of a kernel vector are its
+entries at the free columns.
 
 The Koszul differentials over the spots come from the one Koszul strand
 builder, strands._koszul_differential, with either provider as the module.
@@ -29,10 +31,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
-from .bipoly import (BiPoly, BinaryForm, _term_rows, binary_from_bipoly, gcd_binary,
-                     mul_matrix, split_st, strand_dim)
+from .bipoly import BiPoly, _term_rows, gcd_binary, mul_matrix, split_st, strand_dim
 from .strands import (_inverse_block, _koszul_differential, _koszul_spots, _phi_kernels,
-                      _quotient_echelon, hf_quotient)
+                      _quotient_kernel, hf_quotient)
 
 VAR_NAMES = ("s", "t", "u", "v")
 VAR_DEGREES = ((1, 0), (1, 0), (0, 1), (0, 1))
@@ -42,32 +43,28 @@ _VAR_EXPONENTS = np.eye(4, dtype=np.int64)
 # ---------------------------------------------------------- strand providers
 
 class _QuotientStrands:
-    """Strands of R/I, read from the echelon records of the strand store."""
+    """Strands of R/I, read from the kernel records of d_1^T in the strand
+    store."""
 
     def __init__(self, sys):
         self.sys = sys
         self.field = sys.field
 
     def dim(self, b):
-        return len(_quotient_echelon(self.sys, b)[0])
+        return len(_quotient_kernel(self.sys, b)[1])
 
     def action(self, xi, b):
-        """Multiplication by variable xi: quotient strand b -> b + deg(xi)."""
+        """Multiplication by variable xi: quotient strand b -> b + deg(xi).
+
+        xi times a quotient basis monomial of b is a monomial of b + deg(xi),
+        whose R/I coordinates are its row of the kernel matrix there.
+        """
         b = tuple(b)
         dx = VAR_DEGREES[xi]
-        bt = (b[0] + dx[0], b[1] + dx[1])
-        free_src = _quotient_echelon(self.sys, b)[0]
-        free_tgt, fpos, ppos, neg_tail = _quotient_echelon(self.sys, bt)
-        out = ExactMatrix.zeros(self.field, len(free_tgt), len(free_src))
-        if not (len(free_src) and len(free_tgt)):
-            return out
-        # target monomial index of xi * (each quotient basis monomial of b)
+        free_src = np.array(_quotient_kernel(self.sys, b)[1], dtype=np.int64)
+        kern_tgt = _quotient_kernel(self.sys, (b[0] + dx[0], b[1] + dx[1]))[0]
         tgt = _term_rows(_VAR_EXPONENTS[xi:xi + 1], free_src, b, (1, 1))[0]
-        cols = np.arange(len(tgt))
-        hit = fpos[tgt] >= 0
-        out.data[fpos[tgt[hit]], cols[hit]] = self.field.one()
-        out.data[:, cols[~hit]] = neg_tail.data[ppos[tgt[~hit]]].T
-        return out
+        return ExactMatrix(self.field, kern_tgt.data[tgt].T)
 
 
 class _H1Strands:
@@ -286,16 +283,13 @@ def alicia_syzygy(sys):
     """The unique low-degree syzygy for d=(1,n): signed minors of [p; q]."""
     if sys.d[0] != 1:
         raise ValueError("needs d = (1,n)")
-    p = [None] * 3
-    q = [None] * 3
-    for i, f in enumerate(sys.polys):
-        p[i], q[i] = split_st(f)
+    p, q = zip(*map(split_st, sys.polys))
     sig = (q[1] * p[2] - p[1] * q[2],
            p[0] * q[2] - q[0] * p[2],
            q[0] * p[1] - p[0] * q[1])
     if all(s.is_zero() for s in sig):
         raise ArithmeticError("minor vector vanishes: system has a basepoint")
-    return _checked_syzygy(sys, tuple(s.to_bipoly() for s in sig))
+    return _checked_syzygy(sys, sig)
 
 
 def prop32_matrices(sys):
@@ -309,11 +303,7 @@ def prop32_matrices(sys):
     fld = sys.field
     f0, f1, f2 = sys.polys
     sig = alicia_syzygy(sys).entries
-    p = [None] * 3
-    q = [None] * 3
-    for i, f in enumerate(sys.polys):
-        pi, qi = split_st(f)
-        p[i], q[i] = pi.to_bipoly(), qi.to_bipoly()
+    p, q = zip(*map(split_st, sys.polys))
     s = BiPoly.variable(fld, "s")
     t = BiPoly.variable(fld, "t")
     A = [[sig[0], f1, f2, None],
@@ -356,7 +346,7 @@ def poly_mat_is_zero(P):
 
 @dataclass
 class HilbertBurchData:
-    """Minimal graded kernel basis of a 1 x m row of binary forms."""
+    """Minimal graded kernel basis of a 1 x m row of (0,n) forms."""
 
     generators: list
     columns: list
@@ -368,7 +358,7 @@ class HilbertBurchData:
 
 
 def hb_kernel(q, degree=None):
-    """Minimal syzygies of m >= 2 coprime binary forms, strand by strand.
+    """Minimal syzygies of m >= 2 coprime (0,n) forms, strand by strand.
 
     Walks degrees upward; at each degree the kernel of the stacked
     multiplication matrix is compared against multiples of the generators
@@ -380,8 +370,8 @@ def hb_kernel(q, degree=None):
     if m < 2:
         raise ValueError("need at least two forms")
     fld = q[0].field
-    n = q[0].degree if degree is None else degree
-    if any(g.degree != n for g in q):
+    n = q[0].degree[1] if degree is None else degree
+    if any(g.degree != (0, n) for g in q):
         raise ValueError("forms must share one degree")
     if all(g.is_zero() for g in q):
         raise ValueError("all forms are zero")
@@ -390,20 +380,20 @@ def hb_kernel(q, degree=None):
         if form.is_zero():
             continue
         g = form if g is None else gcd_binary(g, form)
-    if g.degree > 0:
-        raise ValueError(f"common factor of positive degree {g.degree}: "
+    if g.degree[1] > 0:
+        raise ValueError(f"common factor of positive degree {g.degree[1]}: "
                          "syzygy module is not free of rank m-1 here")
     found = []
     for b in range(0, 3 * n + 1):
         # the row [q_0 ... q_(m-1)] on the degree-b strand
         stacked = mat_from_blocks(fld, [n + b + 1], [b + 1] * m,
-                                  {(0, l): mul_matrix(qq.to_bipoly(), (0, b)).data
+                                  {(0, l): mul_matrix(qq, (0, b)).data
                                    for l, qq in enumerate(q)})
         kern = kernel_data(stacked)[0]
         if kern.cols:
             # multiples of the generators found so far: the degree-b strand
             # of each column [gen_0; ...; gen_(m-1)]
-            blocks = {(l, c): mul_matrix(gen[l].to_bipoly(), (0, b - bk)).data
+            blocks = {(l, c): mul_matrix(gen[l], (0, b - bk)).data
                       for c, (gen, bk) in enumerate(found) for l in range(m)}
             span = mat_from_blocks(fld, [b + 1] * m, [b - bk + 1 for _, bk in found], blocks)
             _, piv = rref(mat_from_blocks(fld, [m * (b + 1)], [span.cols, kern.cols],
@@ -411,8 +401,7 @@ def hb_kernel(q, degree=None):
             for j in range(kern.cols):
                 if span.cols + j in piv:
                     col = kern.col(j)
-                    # strand rows run u-exponent descending, BinaryForm ascending
-                    gen = [BinaryForm(fld, b, col[l * (b + 1):(l + 1) * (b + 1)][::-1])
+                    gen = [BiPoly.from_vector(fld, (0, b), col[l * (b + 1):(l + 1) * (b + 1)])
                            for l in range(m)]
                     found.append((gen, b))
         if len(found) >= m - 1:
@@ -424,7 +413,7 @@ def hb_kernel(q, degree=None):
     if sum(column_degrees) != n:
         raise ArithmeticError(f"column degrees {column_degrees} do not sum to {n}")
     for gen, bk in found:
-        total = BinaryForm.zero(fld, n + bk)
+        total = BiPoly.zero(fld, (0, n + bk))
         for qq, entry in zip(q, gen):
             total = total + qq * entry
         if not total.is_zero():
@@ -432,18 +421,15 @@ def hb_kernel(q, degree=None):
     return HilbertBurchData(list(q), [gen for gen, _ in found], column_degrees)
 
 
-def _det_binary(rows):
-    """Determinant of a square matrix of BinaryForms by cofactor expansion."""
-    k = len(rows)
-    if k == 1:
+def _det(rows):
+    """Determinant of a square matrix of BiPolys by cofactor expansion."""
+    if len(rows) == 1:
         return rows[0][0]
-    fld = rows[0][0].field
-    deg = sum(rows[i][i].degree for i in range(k))
-    acc = BinaryForm.zero(fld, deg)
-    for j in range(k):
-        minor = [[rows[i][jj] for jj in range(k) if jj != j] for i in range(1, k)]
-        term = rows[0][j] * _det_binary(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
+    acc = None
+    for j, e in enumerate(rows[0]):
+        term = e * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        term = term if j % 2 == 0 else -term
+        acc = term if acc is None else acc + term
     return acc
 
 
@@ -468,19 +454,18 @@ def syz3star(sys):
         pi, qi = split_st(f)
         six.extend([pi, qi])
     six = [six[0], six[2], six[4], six[1], six[3], six[5]]  # p0,p1,p2,q0,q1,q2
-    coeff_rows = [g.coeffs for g in six]
+    coeff_rows = [g.coeff_vector() for g in six]
     if mat_rank(ExactMatrix.from_rows(fld, coeff_rows)) != 6:
         raise ValueError("split forms are dependent; use the reduced "
                          "conic/pencil constructions instead")
     hb = hb_kernel(six, n)
-    N = hb.column_matrix()  # 6 rows x 5 columns of BinaryForm
+    N = hb.column_matrix()  # 6 rows x 5 columns of (0,*) forms
     p = six[:3]
     q = six[3:]
     Mrows = [p + [None] * 6,
              q + p + [None] * 3,
              [None] * 3 + q + p,
              [None] * 6 + q]
-    Mpoly = [[None if e is None else e.to_bipoly() for e in row] for row in Mrows]
     out = []
     krows = []
     for k in range(5):
@@ -489,7 +474,7 @@ def syz3star(sys):
 
         def minor(i, j):
             rows = [r for r in range(6) if r not in (i, j)]
-            det = _det_binary([[N[r][c] for c in keep] for r in rows])
+            det = _det([[N[r][c] for c in keep] for r in rows])
             return det if (i + j) % 2 == 0 else -det
 
         a = (minor(1, 2), -minor(0, 2), minor(0, 1))
@@ -505,25 +490,21 @@ def syz3star(sys):
         ss = BiPoly.variable(fld, "s")
         tt = BiPoly.variable(fld, "t")
         for i in range(3):
-            sig = (ss * ss * a[i].to_bipoly() + ss * tt * bmid[i].to_bipoly()
-                   + tt * tt * c[i].to_bipoly())
+            sig = ss * ss * a[i] + ss * tt * bmid[i] + tt * tt * c[i]
             sigs.append(sig)
         out.append(_checked_syzygy(sys, tuple(sigs)))
         if out[-1].total_degree != (3, 2 * n - bk):
             raise ArithmeticError("syzygy degree mismatch")
-    Kt = [[krows[k][r].to_bipoly() for k in range(5)] for r in range(9)]
-    if not poly_mat_is_zero(poly_mat_mul(Mpoly, Kt)):
+    Kt = [[krows[k][r] for k in range(5)] for r in range(9)]
+    if not poly_mat_is_zero(poly_mat_mul(Mrows, Kt)):
         raise ArithmeticError("M . K^t != 0")
     for k in range(5):
         bk = hb.column_degrees[k]
         strand = mat_from_blocks(fld, [2 * n - bk + 1] * 4, [n - bk + 1] * 9,
                                  {(r, c): mul_matrix(e, (0, n - bk)).data
-                                  for r, row in enumerate(Mpoly)
+                                  for r, row in enumerate(Mrows)
                                   for c, e in enumerate(row) if e is not None})
-        vec = []
-        for cdx in range(9):
-            bf = krows[k][cdx]
-            vec.extend(bf.coeffs[n - bk - j] for j in range(n - bk + 1))
+        vec = [x for e in krows[k] for x in e.coeff_vector()]
         col = ExactMatrix.from_rows(fld, [[x] for x in vec])
         if not mat_mul(strand, col).is_zero():
             raise ArithmeticError("strand-kernel cross-check failed")

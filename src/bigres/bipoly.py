@@ -1,8 +1,13 @@
 """Bihomogeneous polynomials in K[s,t;u,v] with deg s = t = (1,0), deg u = v = (0,1).
 
+BiPoly is the package's one polynomial type: a binary form in u,v is a
+BiPoly of bidegree (0, n), and split_st, gcd_binary and binary_roots take
+and return such forms.
+
 Monomials are exponent tuples (es, et, eu, ev).  The canonical basis of the
 degree-(a1,a2) strand lists s-exponent descending, then u-exponent
-descending; all matrices in the package index strands in that order.
+descending; all matrices in the package index strands in that order, and
+so does coeff_vector, also for the (0, n) forms.
 Multiplication matrices on polynomial strands (mul_matrix) and on the
 inverse-power spaces of strands share one term kernel, _product; its index
 rule _term_rows alone maps a product term to its row.
@@ -136,6 +141,23 @@ class BiPoly:
             raise ValueError("vector length does not match strand dimension")
         return BiPoly(field, tuple(degree), {e: v for e, v in zip(basis, vec)})
 
+    def evaluate(self, point):
+        """Value at (s, t, u, v) = point, in field arithmetic."""
+        f = self.field
+        tops = (self.degree[0],) * 2 + (self.degree[1],) * 2
+        powers = []
+        for x, top in zip(point, tops):
+            x, pw = f.normalize(x), [f.one()]
+            for _ in range(top):
+                pw.append(f.mul(pw[-1], x))
+            powers.append(pw)
+        acc = f.zero()
+        for e, c in self.coeffs.items():
+            for pw, k in zip(powers, e):
+                c = f.mul(c, pw[k])
+            acc = f.add(acc, c)
+        return acc
+
     def to_text(self):
         if not self.coeffs:
             return "0"
@@ -238,119 +260,24 @@ class SystemF:
         return f"SystemF(d={self.d}, [" + "; ".join(p.to_text() for p in self.polys) + "])"
 
 
-@dataclass
-class BinaryForm:
-    """Binary form in u,v of fixed degree; coeffs[j] is the u^j v^(degree-j) coefficient."""
-
-    field: FieldSpec
-    degree: int
-    coeffs: list
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient list must have length degree + 1")
-        self.coeffs = [self.field.normalize(c) for c in self.coeffs]
-
-    @staticmethod
-    def zero(field, degree):
-        return BinaryForm(field, degree, [field.zero()] * (degree + 1))
-
-    def is_zero(self):
-        return all(self.field.is_zero(c) for c in self.coeffs)
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        f = self.field
-        return BinaryForm(f, self.degree,
-                          [f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        f = self.field
-        return BinaryForm(f, self.degree, [f.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        f = self.field
-        if not isinstance(other, BinaryForm):
-            c0 = f.normalize(other)
-            return BinaryForm(f, self.degree, [f.mul(c, c0) for c in self.coeffs])
-        out = [f.zero()] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not f.is_zero(b):
-                    out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return BinaryForm(f, self.degree + other.degree, out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, alpha, beta):
-        """Value at (u, v) = (alpha, beta)."""
-        f = self.field
-        acc = f.zero()
-        pw_a = f.one()
-        powers_a = []
-        for _ in range(self.degree + 1):
-            powers_a.append(pw_a)
-            pw_a = f.mul(pw_a, f.normalize(alpha))
-        pw_b = f.one()
-        for j in range(self.degree, -1, -1):
-            acc = f.add(acc, f.mul(self.coeffs[j], f.mul(powers_a[j], pw_b)))
-            pw_b = f.mul(pw_b, f.normalize(beta))
-        return acc
-
-    def to_bipoly(self):
-        """As a BiPoly of bidegree (0, degree)."""
-        n = self.degree
-        return BiPoly(self.field, (0, n),
-                      {(0, 0, j, n - j): c for j, c in enumerate(self.coeffs)
-                       if not self.field.is_zero(c)})
-
-    def to_text(self):
-        return self.to_bipoly().to_text()
-
-    def __repr__(self):
-        return f"BinaryForm({self.degree}, {self.to_text()})"
-
-
-def binary_from_bipoly(f):
-    """Inverse of BinaryForm.to_bipoly (degree must be (0, n))."""
-    if f.degree[0] != 0:
-        raise ValueError("not a pure u,v form")
-    n = f.degree[1]
-    coeffs = [f.field.zero()] * (n + 1)
-    for (es, et, eu, ev), c in f.coeffs.items():
-        coeffs[eu] = c
-    return BinaryForm(f.field, n, coeffs)
-
-
 def split_st(f):
-    """Write a bidegree-(1,n) form as s*p + t*q; returns BinaryForms (p, q)."""
+    """Write a bidegree-(1,n) form as s*p + t*q; returns the (0,n) forms (p, q)."""
     if f.degree[0] != 1:
         raise ValueError("split_st needs s,t-degree exactly 1")
-    n = f.degree[1]
-    p = [f.field.zero()] * (n + 1)
-    q = [f.field.zero()] * (n + 1)
+    p, q = {}, {}
     for (es, et, eu, ev), c in f.coeffs.items():
-        if es == 1:
-            p[eu] = c
-        else:
-            q[eu] = c
-    return BinaryForm(f.field, n, p), BinaryForm(f.field, n, q)
+        (p if es else q)[(0, 0, eu, ev)] = c
+    n = f.degree[1]
+    return BiPoly(f.field, (0, n), p), BiPoly(f.field, (0, n), q)
 
 
 # --------------------------------------------------------------- binary gcds
 
-def _dehom_u(bf):
-    """Coefficients of bf(u, 1) ascending in u, trailing zeros trimmed."""
-    c = list(bf.coeffs)
-    while c and bf.field.is_zero(c[-1]):
+def _dehom_u(g):
+    """Coefficients of the (0,n) form g at v = 1, ascending in u, trailing
+    zeros trimmed."""
+    c = g.coeff_vector()[::-1]
+    while c and g.field.is_zero(c[-1]):
         c.pop()
     return c
 
@@ -375,7 +302,7 @@ def _poly_mod(a, b, field):
 
 
 def gcd_binary(p, q):
-    """Monic gcd of two binary forms (error if both are zero).
+    """Monic gcd of two (0,n) forms (error if both are zero).
 
     Dehomogenized Euclid in u; common v-multiplicities are tracked separately
     since setting v = 1 loses them.
@@ -385,22 +312,20 @@ def gcd_binary(p, q):
         raise ValueError("gcd of two zero forms")
     if p.is_zero() or q.is_zero():
         g = q if p.is_zero() else p
-        lead = next(c for c in reversed(g.coeffs) if not field.is_zero(c))
+        lead = next(c for c in g.coeff_vector() if not field.is_zero(c))
         return g * field.inv(lead)
     pa, qa = _dehom_u(p), _dehom_u(q)
-    vmult = min(p.degree - (len(pa) - 1), q.degree - (len(qa) - 1))
+    vmult = min(p.degree[1] - (len(pa) - 1), q.degree[1] - (len(qa) - 1))
     while qa:
         pa, qa = qa, _poly_mod(pa, qa, field)
     g = [field.mul(c, field.inv(pa[-1])) for c in pa]
-    deg = len(g) - 1 + vmult
-    coeffs = [field.zero()] * (deg + 1)
-    for j, c in enumerate(g):
-        coeffs[j] = c
-    return BinaryForm(field, deg, coeffs)
+    return BiPoly.from_vector(field, (0, len(g) - 1 + vmult),
+                              [field.zero()] * vmult + g[::-1])
 
 
 def binary_roots(bf):
-    """Projective roots (alpha, beta) of bf over the ground field, each once.
+    """Projective roots (alpha, beta) of the (0,n) form bf over the ground
+    field, each once.
 
     Order: over GF(p), (1 : 0) first when v divides bf, then the points
     (r : 1) by ascending r in [0, p).  Over Q, the pairs sorted by their
@@ -416,15 +341,15 @@ def binary_roots(bf):
     if bf.is_zero():
         raise ValueError("roots of the zero form")
     roots = []
-    n = bf.degree
-    if field.is_zero(bf.coeffs[n]):
+    desc = bf.coeff_vector()
+    if field.is_zero(desc[0]):
         roots.append((field.one(), field.zero()))  # (1 : 0), i.e. v | bf
     if field.is_prime_field:
         p = field.p
         rs = np.arange(p, dtype=np.int64)
-        acc = np.full(p, int(bf.coeffs[n]) % p, dtype=np.int64)
-        for j in range(n - 1, -1, -1):
-            acc = (acc * rs + int(bf.coeffs[j])) % p
+        acc = np.full(p, desc[0], dtype=np.int64)
+        for c in desc[1:]:
+            acc = (acc * rs + c) % p
         for r in np.nonzero(acc == 0)[0]:
             roots.append((int(r), 1))
         return roots

@@ -60,7 +60,7 @@ def load_system(path):
         d = tuple(obj["d"])
         raw = obj["polys"]
         if len(raw) != 3:
-            raise UsageError(f"{path}: need exactly 3 polynomials")
+            raise ValueError("need exactly 3 polynomials")
         polys = []
         for terms in raw:
             coeffs = {}
@@ -70,8 +70,8 @@ def load_system(path):
                 coeffs[e] = fld.add(coeffs.get(e, fld.zero()), c)
             polys.append(BiPoly(fld, d, coeffs))
         return SystemF(fld, d, polys)
-    except UsageError:
-        raise
+    except UsageError as e:  # a bad "field"
+        raise UsageError(f"{path}: {e}")
     except (KeyError, TypeError) as e:
         raise UsageError(f"{path}: malformed system file ({e})")
     except ValueError as e:

@@ -352,7 +352,7 @@ def _rref_prime(a, p):
     if not pivots:
         return np.zeros((m, n), dtype=np.int64), pivots
     piv = np.asarray(pivots)
-    free = free_columns(n, pivots)
+    free = _free_columns(n, pivots)
     inv = q - np.array(neg_invs, dtype=np.float64)[:, None]
     X = red(A[:r, free] * inv)
     if free.size:
@@ -443,7 +443,7 @@ def _rref_rational(a):
     for p in filter(_is_prime, range(8388593, 3, -2)):
         R, piv = _rref_prime((A % p).astype(np.int64), p)
         if best is None or (len(piv), best) > (len(best), piv):
-            best, free, M, tried = piv, free_columns(n, piv), 1, 0
+            best, free, M, tried = piv, _free_columns(n, piv), 1, 0
             X = np.zeros((len(piv), len(free)), dtype=object)
         elif piv != best:
             continue
@@ -481,7 +481,7 @@ def mat_rank(m):
     return len(piv)
 
 
-def free_columns(n, pivots):
+def _free_columns(n, pivots):
     """The columns 0..n-1 that are not pivots, ascending, as an index array."""
     is_free = np.ones(n, dtype=bool)
     is_free[list(pivots)] = False
@@ -503,7 +503,7 @@ def kernel_data(m):
     if m.rows == 0:
         return ExactMatrix.identity(f, n), tuple(range(n))
     R, piv = rref(m)
-    free = free_columns(n, piv)
+    free = _free_columns(n, piv)
     k = ExactMatrix.zeros(f, n, len(free))
     k.data[free, np.arange(len(free))] = f.one()
     k.data[list(piv)] = f.reduce(-R.data[:len(piv), free])

@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .exactcore import GF, QQ, DEFAULT_PRIME, ExactMatrix, mat_rank
+from .exactcore import GF, DEFAULT_PRIME, ExactMatrix, mat_rank
 from .bipoly import BiPoly, SystemF, split_st, strand_dim
 from .combinat import chi, nd, pos_part
 from .strands import check_box, critical_ranges, h1_dim, hf_quotient, is_generic
@@ -243,7 +243,7 @@ def probe_system(sys, label, box=None):
         rows = []
         for f in sys.polys:
             p, q = split_st(f)
-            rows.extend([p.coeffs, q.coeffs])
+            rows.extend([p.coeff_vector(), q.coeff_vector()])
         if mat_rank(ExactMatrix.from_rows(sys.field, rows)) <= 4:
             detectors.append("pencil")
         if tuple(sys.d) == (1, 5):

@@ -14,8 +14,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .exactcore import ExactMatrix, kernel_data, mat_rank, rref
-from .bipoly import (BiPoly, BinaryForm, SystemF, binary_from_bipoly,
-                     binary_roots, gcd_binary, split_st)
+from .bipoly import BiPoly, SystemF, binary_roots, gcd_binary, split_st
 from .strands import _ring_differential, hf_quotient, phi_matrices
 from .betti import ResolutionComplex, SyzygyVector, hb_kernel
 
@@ -32,7 +31,7 @@ class ConicRedirect(Exception):
 class BasepointVerdict:
     kind: str                    # Free | HasBasepoint | Inconclusive
     witness: tuple | None = None  # ((s0,t0),(u0,v0)) if extractable
-    evidence: object = None      # gcd BinaryForm or note
+    evidence: object = None      # gcd (0,n) BiPoly or note
     hint: str | None = None
 
     def __str__(self):
@@ -44,7 +43,7 @@ class BasepointVerdict:
 
 
 def theta_matrix(sys):
-    """2x3 split-form matrix: row 0 the p_i, row 1 the q_i."""
+    """2x3 split-form matrix of (0,n) forms: row 0 the p_i, row 1 the q_i."""
     if sys.d[0] != 1:
         raise ValueError("theta needs d = (1,n)")
     cols = [split_st(f) for f in sys.polys]
@@ -54,12 +53,10 @@ def theta_matrix(sys):
 
 def _st_kernel_at(sys, uv_point):
     """Common (s0,t0) killing all three forms at the given (u0,v0), or None."""
-    fld = sys.field
-    rows = []
-    for f in sys.polys:
-        p, q = split_st(f)
-        rows.append([p.evaluate(*uv_point), q.evaluate(*uv_point)])
-    k = kernel_data(ExactMatrix.from_rows(fld, rows))[0]
+    # f = s p + t q, so f at s,t = (1,0) and (0,1) is p and q at (u0,v0)
+    rows = [[f.evaluate((1, 0, *uv_point)), f.evaluate((0, 1, *uv_point))]
+            for f in sys.polys]
+    k = kernel_data(ExactMatrix.from_rows(sys.field, rows))[0]
     if not k.cols:
         return None
     return tuple(k.col(0))
@@ -99,7 +96,7 @@ def basepoint_free(sys):
     g = nonzero[0]
     for m in nonzero[1:]:
         g = gcd_binary(g, m)
-    if g.degree == 0:
+    if g.degree[1] == 0:
         return BasepointVerdict("Free")
     for alpha, beta in binary_roots(g):
         st = _st_kernel_at(sys, (alpha, beta))
@@ -115,8 +112,8 @@ def basepoint_free(sys):
 class ConicNormalForm:
     """f' = change^t . f equals (t a0, s a0 + t a1, s a1) up to nothing."""
 
-    a0: BinaryForm
-    a1: BinaryForm
+    a0: BiPoly            # of degree (0,n)
+    a1: BiPoly
     basis: tuple          # the three normalized forms as BiPoly
     change: ExactMatrix   # 3x3, rows are quadric-coefficient triples
 
@@ -176,7 +173,7 @@ def conic_resolution(sys):
     n = sys.d[1]
     h = nf.basis
     hsys = SystemF(fld, sys.d, h)
-    a0, a1 = nf.a0.to_bipoly(), nf.a1.to_bipoly()
+    a0, a1 = nf.a0, nf.a1
     s = BiPoly.variable(fld, "s")
     t = BiPoly.variable(fld, "t")
     h0, h1, h2 = h
@@ -243,9 +240,7 @@ def three_point_resolution(fb):
     fld = fb.field
     hs = [h for _, h in fb.pairs]
     n = hs[0].degree[1]
-    hb_forms = [binary_from_bipoly(h) for h in hs]
-    coeff_rows = [h.coeffs for h in hb_forms]
-    if mat_rank(ExactMatrix.from_rows(fld, coeff_rows)) < 3:
+    if mat_rank(ExactMatrix.from_rows(fld, [h.coeff_vector() for h in hs])) < 3:
         raise ConicRedirect("dependent (0,n) factors: conic construction applies")
     g0, g1, g2 = (g for g, _ in fb.pairs)
     # the columns [g0 g1 | g2] in (s, t) coordinates: g2 = a g0 + b g1
@@ -261,7 +256,7 @@ def three_point_resolution(fb):
     bp = basepoint_free(hsys)
     if bp.kind != "Free":
         raise ValueError(f"factored system is not basepoint-free: {bp}")
-    hb = hb_kernel(hb_forms)
+    hb = hb_kernel(hs)
     mu = hb.column_degrees[0]
     if mu == 0:
         raise ConicRedirect("degree-0 kernel column: factors are dependent")
@@ -269,27 +264,22 @@ def three_point_resolution(fb):
     cross = [bcol[1] * ccol[2] - bcol[2] * ccol[1],
              ccol[0] * bcol[2] - bcol[0] * ccol[2],
              bcol[0] * ccol[1] - bcol[1] * ccol[0]]
-    lam = None
-    for w, h in zip(cross, hb_forms):
-        for cw, ch in zip(w.coeffs, h.coeffs):
-            if not fld.is_zero(ch):
-                lam = fld.div(cw, ch)
-                break
-        if lam is not None:
-            break
-    if lam is None or fld.is_zero(lam):
+    # cross = lam (h0, h1, h2); h0 != 0, as the factors are independent
+    e0, lead = next(iter(hs[0].coeffs.items()))
+    lam = fld.div(cross[0].coeffs.get(e0, fld.zero()), lead)
+    if fld.is_zero(lam):
         raise ArithmeticError("cross product of kernel columns vanished")
     inv = fld.inv(lam)
     ccol = [e * inv for e in ccol]
     cross = [e * inv for e in cross]
-    for w, h in zip(cross, hb_forms):
+    for w, h in zip(cross, hs):
         if w.coeffs != h.coeffs:
             raise ArithmeticError("kernel column orientation failed")
     S, T = g0, g1
     G2 = g2
     h0, h1, h2 = hs
-    b0, b1, b2 = (e.to_bipoly() for e in bcol)
-    c0, c1, c2_ = (e.to_bipoly() for e in ccol)
+    b0, b1, b2 = bcol
+    c0, c1, c2_ = ccol
     d1 = [[(-a) * (h1 * h2), T * h1, G2 * h2, None, T * G2 * b0, T * G2 * c0],
           [(-b) * (h0 * h2), -(S * h0), None, G2 * h2, S * G2 * b1, S * G2 * c1],
           [h0 * h1, None, -(S * h0), -(T * h1), S * T * b2, S * T * c2_]]
@@ -381,8 +371,8 @@ def square_strand_singular(sys):
     determinant is formed.
 
     Rows interleave the split forms (p0,q0,p1,q1,p2,q2); columns list the
-    u-exponent ascending, which is the reverse of the strand convention, so
-    the matrix is cross-checked against phi1 at (3,8) column-reversed.
+    u-exponent descending, the strand order, so the matrix is cross-checked
+    against phi1 at (3,8) as it stands.
     Accepts a plain triple of (1,5)-forms too (then the phi cross-check is
     skipped: degenerate triples are allowed there).
     """
@@ -393,16 +383,14 @@ def square_strand_singular(sys):
     rows = []
     for f in polys:
         p, q = split_st(f)
-        rows.append(list(p.coeffs))
-        rows.append(list(q.coeffs))
+        rows.append(p.coeff_vector())
+        rows.append(q.coeff_vector())
     m = ExactMatrix.from_rows(fld, rows)
     if isinstance(sys, SystemF):
         phi1 = phi_matrices(sys, (3, 8))[0]
         if phi1.rows != 6 or phi1.cols != 6:
             raise AssertionError("phi1 at (3,8) is not 6x6")
-        rev = ExactMatrix.from_rows(fld, [[phi1.get(r, 5 - j) for j in range(6)]
-                                          for r in range(6)])
-        if rev != m:
+        if phi1 != m:
             raise AssertionError("coefficient layout disagrees with phi1 at (3,8)")
     return m, mat_rank(m) < 6
 
@@ -424,18 +412,15 @@ def extract_factorization(sys):
         if p.is_zero() and q.is_zero():
             return None
         if p.is_zero():
-            pairs.append((t, q.to_bipoly()))
+            pairs.append((t, q))
             continue
         if q.is_zero():
-            pairs.append((s, p.to_bipoly()))
+            pairs.append((s, p))
             continue
-        lam = None
-        for cp, cq in zip(p.coeffs, q.coeffs):
-            if not fld.is_zero(cp):
-                lam = fld.div(cq, cp)
-                break
+        e0, cp = next(iter(p.coeffs.items()))
+        lam = fld.div(q.coeffs.get(e0, fld.zero()), cp)
         if (q - p * lam).is_zero():
-            pairs.append((s + t * lam, p.to_bipoly()))
+            pairs.append((s + t * lam, p))
         else:
             return None
     return FactorizedBasis(pairs, i0=0)
@@ -462,12 +447,11 @@ def classify(sys, fb=None):
             return SegreClassification(
                 "SmoothConic", {"syzygy_degree": [3, sys.d[1]]})
     if fb is not None:
-        hb_forms = [binary_from_bipoly(h) for _, h in fb.pairs]
-        rows = [h.coeffs for h in hb_forms]
-        if mat_rank(ExactMatrix.from_rows(fb.field, rows)) < 3:
+        hs = [h for _, h in fb.pairs]
+        if mat_rank(ExactMatrix.from_rows(fb.field, [h.coeff_vector() for h in hs])) < 3:
             return SegreClassification("PencilFactorized", {"i0": fb.i0})
         if fb.i0 == 0:
-            mu = hb_kernel(hb_forms).column_degrees[0]
+            mu = hb_kernel(hs).column_degrees[0]
             return SegreClassification("ThreeNoncollinearPoints", {"mu": mu})
         return SegreClassification("GenericLike", {"i0": fb.i0})
     return SegreClassification("GenericLike", {})

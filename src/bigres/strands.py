@@ -17,7 +17,10 @@ Everything here is a pure function of (system, bidegree).  One per-system
 store owns every elimination: the generator strand, the phi pair and the
 higher Koszul maps at a degree are each built and eliminated once per
 system, and hf_quotient, h1_dim, koszul_strand_homology, is_generic and the
-Betti strand providers all read the same records.
+Betti strand providers all read the same records.  The generator strand and
+the phi pair keep one kind of record, kernel_data: for the generator strand
+it is the kernel of its transpose, the inverse system of I at that degree,
+whose free monomials span R/I there.
 """
 
 from __future__ import annotations
@@ -26,11 +29,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from weakref import WeakKeyDictionary
 
-import numpy as np
-
-from .exactcore import ExactMatrix, free_columns, kernel_data, mat_from_blocks, mat_rank, rref
+from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_rank
 from .bipoly import _product, mul_matrix, strand_dim
-from .combinat import chi, nd
 
 
 @dataclass(frozen=True)
@@ -157,32 +157,16 @@ def _per_system(build):
 
 
 @_per_system
-def _quotient_echelon(sys, b):
-    """(free, free_pos, piv_pos, neg_tail) of the quotient strand (R/I)_b.
+def _quotient_kernel(sys, b):
+    """kernel_data of d_1^T at b, with d_1 = [f0 f1 f2] into R_b: the one
+    place the inverse system V_b = (I_b)^perp is computed.
 
-    The transpose of d_1 = [f0 f1 f2] into R_b is echelonized: a pivot monomial
-    equals its row of neg_tail (one column per free monomial) over the free
-    (quotient basis) monomials, so multiplication by a variable is a row
-    lookup, not a solve.  free_pos and piv_pos map a monomial index to its
-    position among free or pivot monomials, -1 elsewhere.
+    Its free columns are the quotient basis monomials of (R/I)_b, and row m
+    of its kernel matrix holds the R/I coordinates of monomial m.
     """
-    fld = sys.field
-    n = strand_dim(b)
-    if n == 0:
-        return np.zeros(0, dtype=np.intp), np.full(1, -1), np.full(1, -1), None
-    echelon, piv = fld.zeros((0, n)), ()
-    if strand_dim((b[0] - sys.d[0], b[1] - sys.d[1])):
-        # the transpose is a view, not a copy, and the whole strand,
-        # unnamed, is freed as soon as it is eliminated
-        R, piv = rref(ExactMatrix(fld, _ring_differential(sys, b, 1).data.T))
-        echelon = R.data
-    free = free_columns(n, piv)
-    free_pos = np.full(n, -1, dtype=np.int64)
-    piv_pos = np.full(n, -1, dtype=np.int64)
-    free_pos[free] = np.arange(len(free))
-    piv_pos[list(piv)] = np.arange(len(piv))
-    neg_tail = fld.reduce(-echelon[:len(piv), free])
-    return free, free_pos, piv_pos, ExactMatrix(fld, neg_tail)
+    # the transpose is a view, not a copy, and the whole strand, unnamed,
+    # is freed as soon as it is eliminated
+    return kernel_data(ExactMatrix(sys.field, _ring_differential(sys, b, 1).data.T))
 
 
 @dataclass(frozen=True)
@@ -225,7 +209,7 @@ def h1_dim(sys, a):
 
 def hf_quotient(sys, a):
     """Hilbert function of R/I at a: dim R_a minus rank of [f0 f1 f2]."""
-    return len(_quotient_echelon(sys, a)[0])
+    return len(_quotient_kernel(sys, a)[1])
 
 
 def koszul_strand_homology(sys, a, i):

@@ -19,7 +19,7 @@ import numpy as np
 
 import bigres
 from bigres.exactcore import GF
-from bigres.bipoly import BiPoly, SystemF, binary_from_bipoly
+from bigres.bipoly import BiPoly, SystemF
 from bigres.combinat import chi, nd, neg_part
 from bigres.strands import h1_dim, is_generic, koszul_strand_homology, phi_matrices
 from bigres.betti import (betti_table, hb_kernel, hf_quotient, mcomplex_sums,
@@ -245,7 +245,7 @@ def test_resolution_templates():
         assert verify_resolution(conic_resolution(sys_)).passed, n
     for n in range(3, 7):
         hs = [random_form(FLD, (0, n), rng) for _ in range(3)]
-        mu = hb_kernel([binary_from_bipoly(h) for h in hs]).column_degrees[0]
+        mu = hb_kernel(hs).column_degrees[0]
         assert 0 < mu <= n // 2, n
         fb = FactorizedBasis([(s, hs[0]), (t, hs[1]), (s + t, hs[2])], i0=0)
         assert verify_resolution(three_point_resolution(fb)).passed, n

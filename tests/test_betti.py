@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bigres.exactcore import GF, QQ
-from bigres.bipoly import BinaryForm, BiPoly, SystemF, split_st, strand_dim
+from bigres.bipoly import BiPoly, SystemF, split_st, strand_dim
 from bigres.betti import (BettiTable, HilbertBurchData, ResolutionComplex,
                           alicia_syzygy, betti_table, hb_kernel, koszul_syzygies,
                           mcomplex_dims, mcomplex_sums, nonkoszul_beta1,
@@ -260,12 +260,15 @@ def test_prop32_factorization():
 def test_hb_kernel_known_pair():
     # q = (u^2, v^2): the syzygy module of a complete intersection is the
     # Koszul one, a single column (v^2, -u^2) in degree 2
-    u2 = BinaryForm(FLD, 2, [0, 0, 1])
-    v2 = BinaryForm(FLD, 2, [1, 0, 0])
+    u2 = BiPoly.from_vector(FLD, (0, 2), [1, 0, 0])
+    v2 = BiPoly.from_vector(FLD, (0, 2), [0, 0, 1])
     hb = hb_kernel([u2, v2])
     assert hb.column_degrees == [2]
     col = hb.columns[0]
+    assert [e.degree for e in col] == [(0, 2), (0, 2)]
     assert (u2 * col[0] + v2 * col[1]).is_zero()
+    # (v^2, -u^2) up to a scalar: coefficients run u-exponent descending
+    assert col[0].coeff_vector()[:2] == [0, 0] and col[1].coeff_vector()[1:] == [0, 0]
     mat = hb.column_matrix()
     assert len(mat) == 2 and len(mat[0]) == 1
 
@@ -274,7 +277,7 @@ def test_hb_kernel_three_forms():
     rng = random.Random(9)
     for n in (3, 4):
         while True:
-            q = [BinaryForm(FLD, n, [FLD.rand(rng) for _ in range(n + 1)])
+            q = [BiPoly.from_vector(FLD, (0, n), [FLD.rand(rng) for _ in range(n + 1)])
                  for _ in range(3)]
             if not any(f.is_zero() for f in q):
                 break
@@ -283,21 +286,21 @@ def test_hb_kernel_three_forms():
         assert sum(hb.column_degrees) == n
         assert hb.column_degrees == sorted(hb.column_degrees)
         for col in hb.columns:
-            acc = BinaryForm.zero(FLD, n + col[0].degree)
+            acc = BiPoly.zero(FLD, (0, n + col[0].degree[1]))
             for f, e in zip(q, col):
                 acc = acc + f * e
             assert acc.is_zero()
 
 
 def test_hb_kernel_rejects_common_factor():
-    u = BinaryForm(FLD, 1, [0, 1])
-    v = BinaryForm(FLD, 1, [1, 0])
+    u = BiPoly.from_vector(FLD, (0, 1), [1, 0])
+    v = BiPoly.from_vector(FLD, (0, 1), [0, 1])
     with pytest.raises(ValueError, match="common factor"):
         hb_kernel([u * u, u * v])
     with pytest.raises(ValueError):
         hb_kernel([u])
     with pytest.raises(ValueError):
-        hb_kernel([BinaryForm.zero(FLD, 1), BinaryForm.zero(FLD, 1)])
+        hb_kernel([BiPoly.zero(FLD, (0, 1)), BiPoly.zero(FLD, (0, 1))])
 
 
 def test_syz3star_five_syzygies():

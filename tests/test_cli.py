@@ -164,6 +164,14 @@ def test_usage_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert str(zero_den) in captured.err
+    # so is a bad "field", which names the file like every other one
+    for field in ("4", "x"):
+        bad_field = tmp_path / f"field_{field}.json"
+        bad_field.write_text(json.dumps({"field": field, "d": [1, 1], "polys": []}))
+        assert main(["hf", str(bad_field), "--box", "1,1"]) == 2, field
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, field
+        assert captured.err.startswith(f"error: {bad_field}: "), field
     # a negative --box entry is a usage error, not a crash or an empty grid
     for argv in (["nd", "--d", "1,6", "--box=-1,3"],
                  ["hf", MAPS6, "--box=-1,2"],

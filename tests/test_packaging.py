@@ -64,3 +64,22 @@ def test_exactcore_functions_have_callers():
             elif isinstance(node, ast.alias):
                 named.add(node.name)
     assert public <= named, sorted(public - named)
+
+
+def test_module_imports_are_read():
+    # every module-level import of a package module (but __init__, which
+    # re-exports) and of a script is read somewhere in its file
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += (ROOT / "scripts").glob("*.py")
+    unread = []
+    for path, tree in _trees(paths):
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, unread

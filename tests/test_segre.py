@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bigres.exactcore import GF, QQ
-from bigres.bipoly import BiPoly, SystemF, binary_from_bipoly, split_st
-from bigres.strands import h1_dim
+from bigres.bipoly import BiPoly, SystemF, split_st
+from bigres.strands import h1_dim, phi_matrices
 from bigres.betti import betti_table, hb_kernel, verify_resolution
 from bigres.segre import (BasepointVerdict, ConicRedirect, FactorizedBasis,
                           ImpossibleFactorization, basepoint_free, classify,
@@ -36,9 +36,12 @@ def _monomial_form(n, k):
 
 
 def _evaluate(f, st_pt, uv_pt):
+    # through the split f = s p + t q, which evaluate must agree with
     p, q = split_st(f)
-    return FLD.add(FLD.mul(st_pt[0], p.evaluate(*uv_pt)),
-                   FLD.mul(st_pt[1], q.evaluate(*uv_pt)))
+    val = FLD.add(FLD.mul(st_pt[0], p.evaluate((0, 0) + tuple(uv_pt))),
+                  FLD.mul(st_pt[1], q.evaluate((0, 0) + tuple(uv_pt))))
+    assert val == f.evaluate(tuple(st_pt) + tuple(uv_pt))
+    return val
 
 
 def _shift_multiset(rc):
@@ -117,7 +120,8 @@ def test_detect_conic_antidiagonal_family(n):
     nf = detect_conic(sys_)
     assert nf is not None
     b0, b1, b2 = nf.basis
-    a0, a1 = nf.a0.to_bipoly(), nf.a1.to_bipoly()
+    a0, a1 = nf.a0, nf.a1
+    assert a0.degree == a1.degree == (0, n)
     assert (b0 - t * a0).is_zero()
     assert (b1 - (s * a0 + t * a1)).is_zero()
     assert (b2 - s * a1).is_zero()
@@ -145,11 +149,9 @@ def test_detect_conic_roundtrip():
     a0, a1 = _monomial_form(3, 3), _monomial_form(3, 0)
     sys_ = SystemF(FLD, (1, 3), (t * a0, s * a0 + t * a1, s * a1))
     nf = detect_conic(sys_)
-    lam = next(c for c in nf.a0.coeffs if not FLD.is_zero(c))
-    back0 = [FLD.mul(lam, c) for c in binary_from_bipoly(a0).coeffs]
-    back1 = [FLD.mul(lam, c) for c in binary_from_bipoly(a1).coeffs]
-    assert list(nf.a0.coeffs) == back0
-    assert list(nf.a1.coeffs) == back1
+    lam = next(c for c in nf.a0.coeff_vector() if not FLD.is_zero(c))
+    assert (nf.a0 - a0 * lam).is_zero()
+    assert (nf.a1 - a1 * lam).is_zero()
 
 
 def test_conic_resolution_tables():
@@ -198,7 +200,7 @@ def _three_point_basis(n, seed, fld=FLD, lines=((1, 0), (0, 1), (1, 1))):
 
 def test_three_point_n3_cross_route():
     fb, hs = _three_point_basis(3, 7)
-    hb = hb_kernel([binary_from_bipoly(h) for h in hs])
+    hb = hb_kernel(hs)
     assert hb.column_degrees[0] == 1  # mu forced for n=3
     rc = three_point_resolution(fb)
     assert verify_resolution(rc).passed
@@ -210,7 +212,7 @@ def test_three_point_n4():
     fb, hs = _three_point_basis(4, 9)
     rc = three_point_resolution(fb)
     assert verify_resolution(rc).passed
-    mu = hb_kernel([binary_from_bipoly(h) for h in hs]).column_degrees[0]
+    mu = hb_kernel(hs).column_degrees[0]
     assert 0 < mu <= 2
     level1 = Counter(tuple(sh) for sh in rc.shifts[1])
     assert level1[(1, 12)] == 1 and level1[(2, 8)] == 3
@@ -273,8 +275,8 @@ def test_lift_syzygy_degrees():
     fb0, hs = _three_point_basis(4, 9)
     koszul = lift_syzygy(fb0, (hs[1], -hs[0], BiPoly.zero(FLD, (0, 4))))
     assert koszul.total_degree == (3, 8)
-    hb = hb_kernel([binary_from_bipoly(h) for h in hs])
-    degs = sorted(lift_syzygy(fb0, tuple(e.to_bipoly() for e in col)).total_degree
+    hb = hb_kernel(hs)
+    degs = sorted(lift_syzygy(fb0, tuple(col)).total_degree
                   for col in hb.columns)
     mu = hb.column_degrees[0]
     assert degs == sorted([(3, 4 + mu), (3, 8 - mu)])
@@ -333,7 +335,8 @@ def test_square_det_repeated_form():
 def test_square_det_matches_h1():
     rng = random.Random(13)
     generic = random_bpf_system(FLD, (1, 5), rng)
-    assert not square_strand_singular(generic)[1]
+    m, singular = square_strand_singular(generic)
+    assert not singular and m == phi_matrices(generic, (3, 8))[0]
     assert h1_dim(generic, (3, 8)) == 0
     s, t = _var("s"), _var("t")
     u5, v5 = _monomial_form(5, 5), _monomial_form(5, 0)

@@ -10,7 +10,7 @@ from bigres.exactcore import GF, QQ, ExactMatrix, kernel_data, mat_from_blocks, 
 from bigres.bipoly import BiPoly, SystemF, mul_matrix, strand_dim
 from bigres.combinat import chi, cod, dom, nd
 from bigres.strands import (_inverse_block, _koszul_differential, _koszul_spots,
-                            _phi_sources, _quotient_echelon, _ring_differential,
+                            _phi_kernels, _phi_sources, _quotient_kernel, _ring_differential,
                             critical_ranges, h1_dim, h1_support_box, hf_quotient,
                             is_generic, koszul_strand_homology, phi_matrices)
 from bigres.betti import VAR_DEGREES, _H1Strands, _QuotientStrands
@@ -84,7 +84,7 @@ def test_builders_return_field_dtype(fld):
             *phi_matrices(sys_, (4, 2))[:1], *phi_matrices(sys_, (0, 6))[1:],
             _inverse_block(sys_.polys[0], src1), _inverse_block(sys_.polys[0], src2),
             *(_ring_differential(sys_, (5, 6), j) for j in (1, 2, 3)),
-            _quotient_echelon(sys_, (1, 2))[3]]
+            _quotient_kernel(sys_, (1, 2))[0]]
     mats += [_QuotientStrands(sys_).action(xi, (1, 2)) for xi in range(4)]
     mats += [_H1Strands(sys_).action(xi, (1, 6)) for xi in (2, 3)]
     scalar = int if fld.is_prime_field else Fraction
@@ -176,6 +176,36 @@ def test_koszul_differentials_are_complexes(d, fld):
                     assert m.cols == sum(dim(b) for _, b in _koszul_spots(degs, a, j))
                 for lo, hi in zip(diffs, diffs[1:]):
                     assert mat_mul(lo, hi).is_zero(), (a, degs)
+
+
+@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("d", [(1, 2), (2, 2)])
+def test_provider_actions_are_induced_maps(d, fld):
+    # each provider's action is the map that multiplication by a variable
+    # induces on its module.  R/I: projecting to R/I coordinates (K^T, with
+    # K the kernel matrix of d_1^T) commutes with multiplication on R.  H1:
+    # including kernel coordinates (the kernel basis of phi_k) commutes with
+    # the action on each phi source, V1 and V2.
+    sys_ = random_bpf_system(fld, d, random.Random(50 * d[0] + d[1]))
+    qs, hs = _QuotientStrands(sys_), _H1Strands(sys_)
+    for a1 in range(3 * d[0] + 2):
+        for a2 in range(3 * d[1] + 2):
+            b = (a1, a2)
+            for xi in range(4):
+                x = BiPoly.variable(fld, "stuv"[xi])
+                bt = (a1 + VAR_DEGREES[xi][0], a2 + VAR_DEGREES[xi][1])
+                k_src, k_tgt = _quotient_kernel(sys_, b)[0], _quotient_kernel(sys_, bt)[0]
+                proj_src = ExactMatrix(fld, k_src.data.T)
+                proj_tgt = ExactMatrix(fld, k_tgt.data.T)
+                assert mat_mul(proj_tgt, mul_matrix(x, b)) == \
+                    mat_mul(qs.action(xi, b), proj_src), ("R/I", b, xi)
+                act = hs.action(xi, b).data
+                r0 = c0 = 0
+                for ks, kt in zip(_phi_kernels(sys_, b), _phi_kernels(sys_, bt)):
+                    block = ExactMatrix(fld, act[r0:r0 + kt.nullity, c0:c0 + ks.nullity])
+                    assert mat_mul(_inverse_block(x, ks.src), ks.kernel) == \
+                        mat_mul(kt.kernel, block), ("H1", b, xi)
+                    r0, c0 = r0 + kt.nullity, c0 + ks.nullity
 
 
 @pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
