@@ -8,12 +8,14 @@ their pointwise relation is reported, not reconciled.
 
 Both routes read kernel_data records of the per-system strand store of
 strands, which owns every elimination, and both exploit the identity pattern
-of echelonized kernel bases.  Quotient strands come from the kernel of d_1^T,
-the inverse system of I at that degree: its free monomials are the quotient
-basis, and row m of its kernel matrix holds the R/I coordinates of monomial
-m, so multiplication by a variable is a row lookup, not a solve.  H1 strands
-come from the phi kernel records: coordinates of a kernel vector are its
-entries at the free columns.
+of echelonized kernel bases.  Quotient strands come from the record of the
+kernel of d_1^T, the inverse system of I at that degree, which
+strands._quotient_kernel builds by recursion on the degree without
+eliminating d_1^T: its free monomials are the quotient basis, and row m of
+its kernel matrix holds the R/I coordinates of monomial m, so multiplication
+by a variable is a row lookup, not a solve.  H1 strands come from the phi
+kernel records: coordinates of a kernel vector are its entries at the free
+columns.
 
 The Koszul differentials over the spots come from the one Koszul strand
 builder, strands._koszul_differential, with either provider as the module.
@@ -32,12 +34,11 @@ import numpy as np
 
 from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
 from .bipoly import BiPoly, _term_rows, gcd_binary, mul_matrix, split_st, strand_dim
-from .strands import (_inverse_block, _koszul_differential, _koszul_spots, _phi_kernels,
-                      _quotient_kernel, hf_quotient)
+from .strands import (VAR_EXPONENTS, _inverse_block, _koszul_differential, _koszul_spots,
+                      _phi_kernels, _quotient_kernel, hf_quotient)
 
 VAR_NAMES = ("s", "t", "u", "v")
 VAR_DEGREES = ((1, 0), (1, 0), (0, 1), (0, 1))
-_VAR_EXPONENTS = np.eye(4, dtype=np.int64)
 
 
 # ---------------------------------------------------------- strand providers
@@ -63,7 +64,7 @@ class _QuotientStrands:
         dx = VAR_DEGREES[xi]
         free_src = np.array(_quotient_kernel(self.sys, b)[1], dtype=np.int64)
         kern_tgt = _quotient_kernel(self.sys, (b[0] + dx[0], b[1] + dx[1]))[0]
-        tgt = _term_rows(_VAR_EXPONENTS[xi:xi + 1], free_src, b, (1, 1))[0]
+        tgt = _term_rows(VAR_EXPONENTS[xi:xi + 1], free_src, b, (1, 1))[0]
         return ExactMatrix(self.field, kern_tgt.data[tgt].T)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 from dataclasses import dataclass
 
@@ -128,6 +129,13 @@ def _generic_box(text, d):
     except ValueError as e:
         raise UsageError(str(e))
     return box
+
+
+def _check_output_dir(path):
+    """-o/--csv name a file in a directory that exists; checked before
+    anything is computed."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"{path}: no such directory")
 
 
 def _value_grid(box, fn):
@@ -341,6 +349,8 @@ def cmd_lab(args, out):
         d=d, trials=args.trials, seed=args.seed,
         field=parse_field(args.field),
         box=_generic_box(args.box, d))
+    if args.csv:
+        _check_output_dir(args.csv)
     rep = labmod.generic_report(cfg, collect_grid=bool(args.csv))
     if args.csv:
         rep.write_csv(args.csv)
@@ -351,6 +361,7 @@ def cmd_lab(args, out):
 def cmd_plot(args, out):
     sys_ = load_system(args.file)
     box = _box(args.box)
+    _check_output_dir(args.output)
     points = plot_points(sys_, box)
     emit_svg(PlotSpec(points, sys_.d, box), args.output)
     out.write(f"wrote {args.output} ({len(points)} markers)\n")

@@ -14,13 +14,23 @@ complex on the net f0, f1, f2 acting on R (its d_1 is the generator strand
 on H1 (the Betti strand providers in betti).
 
 Everything here is a pure function of (system, bidegree).  One per-system
-store owns every elimination: the generator strand, the phi pair and the
-higher Koszul maps at a degree are each built and eliminated once per
-system, and hf_quotient, h1_dim, koszul_strand_homology, is_generic and the
-Betti strand providers all read the same records.  The generator strand and
-the phi pair keep one kind of record, kernel_data: for the generator strand
-it is the kernel of its transpose, the inverse system of I at that degree,
-whose free monomials span R/I there.
+store owns every elimination: the quotient record, the phi pair and the
+higher Koszul maps at a degree are each computed once per system, and
+hf_quotient, h1_dim, koszul_strand_homology, is_generic and the Betti strand
+providers all read the same records.  The quotient and the phi pair keep
+one kind of record, kernel_data: for the quotient it is the kernel of the
+transposed generator strand d_1^T, the inverse system V_b = (I_b)^perp of I
+at that degree, whose free monomials span R/I there.
+
+That record is not eliminated from d_1^T, a matrix of dim R_b x 3 dim
+R_(b-d).  _quotient_kernel builds V_b from V_(b-e) and V_(b-2e), e = (1,0)
+or (0,1), by the integration method for dual bases (Mourrain, "Isolated
+points, duality and residues", JPAA 1997; Marinari, Moeller and Mora,
+"Groebner bases of ideals defined by functionals", 1993): a functional lies
+in V_b when its contractions by the two variables of degree e lie in
+V_(b-e) and agree on R_(b-2e).  Each step eliminates an hf(b-2e) x
+2 hf(b-e) matrix and, to put V_b in the form of kernel_data, one
+hf(b) x dim R_b matrix; only at b = d is [f0 f1 f2] eliminated.
 """
 
 from __future__ import annotations
@@ -29,8 +39,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from weakref import WeakKeyDictionary
 
-from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_rank
-from .bipoly import _product, mul_matrix, strand_dim
+import numpy as np
+
+from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
+from .bipoly import _product, _term_rows, mul_matrix, strand_dim
 
 
 @dataclass(frozen=True)
@@ -156,17 +168,98 @@ def _per_system(build):
     return record
 
 
-@_per_system
 def _quotient_kernel(sys, b):
     """kernel_data of d_1^T at b, with d_1 = [f0 f1 f2] into R_b: the one
-    place the inverse system V_b = (I_b)^perp is computed.
+    place the inverse system V_b = (I_b)^perp is computed, by recursion on b
+    rather than by eliminating d_1^T.
 
     Its free columns are the quotient basis monomials of (R/I)_b, and row m
-    of its kernel matrix holds the R/I coordinates of monomial m.
+    of its kernel matrix holds the R/I coordinates of monomial m.  That
+    record depends on V_b alone (see _inverse_system), so the recursion
+    returns exactly what kernel_data(d_1^T) would.
+
+    Each step reads the records at b - e and b - 2e, and the chain of steps
+    runs down to (d1, d2).  The chain is walked down to a stored record or a
+    base case and then filled from the bottom up, so the call depth does not
+    grow with b; every record on it stays in the store of sys.
     """
-    # the transpose is a view, not a copy, and the whole strand, unnamed,
-    # is freed as soon as it is eliminated
-    return kernel_data(ExactMatrix(sys.field, _ring_differential(sys, b, 1).data.T))
+    recs = _store.setdefault(sys, {})
+    chain = [("_quotient_kernel", tuple(b))]
+    while chain[-1] not in recs and (e := _step(sys.d, chain[-1][1])):
+        c = chain[-1][1]
+        chain.append(("_quotient_kernel", (c[0] - e[0], c[1] - e[1])))
+    for key in reversed(chain):
+        if key not in recs:
+            recs[key] = _inverse_system(sys, key[1])
+    return recs[chain[0]]
+
+
+VAR_EXPONENTS = np.eye(4, dtype=np.int64)  # rows s, t, u, v
+
+
+def _step(d, b):
+    """The direction e of the recursion step at b: (1,0) while b1 > d1,
+    then (0,1); None at the base cases b1 < d1, b2 < d2 and b = d."""
+    if b[0] < d[0] or b[1] < d[1] or b == d:
+        return None
+    return (1, 0) if b[0] > d[0] else (0, 1)
+
+
+def _inverse_system(sys, b):
+    """The record of _quotient_kernel at b, built from those at b - e and
+    b - 2e, with e = _step(sys.d, b) and (x0, x1) = (s, t) or (u, v).
+
+    * Base cases.  Below d in either coordinate I_b = 0, so V_b = R_b^*:
+      the identity record (0 x 0 at a negative b).  At b = d the record is
+      kernel_data of the transposed generator strand, 3 x dim R_d.
+    * Step.  I_b = x0 I_(b-e) + x1 I_(b-e), so a functional lambda on R_b
+      lies in V_b exactly when mu = x0 o lambda and nu = x1 o lambda (the
+      contractions, (x o lambda)(m) = lambda(x m)) both lie in V_(b-e).  By
+      exactness of the Koszul complex of k[x0, x1] in positive degree, a
+      pair (mu, nu) is of that form, for exactly one lambda, when x1 o mu =
+      x0 o nu on R_(b-2e).  Both sides lie in V_(b-2e), so they agree
+      exactly when they agree at its free monomials F2.  With mu = K1 alpha
+      and nu = K1 beta in the basis K1 of V_(b-e), the pairs are the kernel
+      Z of [K1[x1 F2] | -K1[x0 F2]], a matrix of hf(b-2e) x 2 hf(b-e).
+    * Lift.  lambda(x0 m) = mu(m) fills the rows x0 m of Lambda with K1
+      Z_top; the other monomials of R_b are x1 m with m free of x0, whose
+      rows are K1[those m] Z_bottom.
+    * Normalize.  A monomial c is a free column of d_1^T, that is not a
+      combination of the columns before it, exactly when some lambda in V_b
+      has its last nonzero entry at c.  Reversing the monomial order turns
+      last into first, so the pivots piv of rref(Lambda[::-1]^T) give the
+      free set n-1-piv, and the rows of that RREF, reversed both ways, are
+      the kernel basis with the identity on the free set: the record
+      kernel_data(d_1^T) returns.
+    """
+    field, d, n = sys.field, sys.d, strand_dim(b)
+    e = _step(d, b)
+    if e is None:
+        if b[0] < d[0] or b[1] < d[1]:
+            return ExactMatrix.identity(field, n), tuple(range(n))
+        return kernel_data(ExactMatrix(field, _ring_differential(sys, d, 1).data.T))
+    xs = VAR_EXPONENTS[[0, 1] if e == (1, 0) else [2, 3]]  # rows x0, x1
+    b_e = (b[0] - e[0], b[1] - e[1])
+    b_2e = (b_e[0] - e[0], b_e[1] - e[1])
+    K1 = _quotient_kernel(sys, b_e)[0]
+    h1 = K1.cols
+    if h1:
+        F2 = np.array(_quotient_kernel(sys, b_2e)[1], dtype=np.int64)
+        at0, at1 = _term_rows(xs, F2, b_2e, (1, 1))  # rows of x0 F2, x1 F2
+        Z = kernel_data(mat_from_blocks(field, [len(F2)], [h1, h1],
+                                        {(0, 0): K1.data[at1],
+                                         (0, 1): field.reduce(-K1.data[at0])}))[0]
+    if not h1 or not Z.cols:
+        return ExactMatrix.zeros(field, n, 0), ()
+    rows0, rows1 = _term_rows(xs, np.arange(K1.rows), b_e, (1, 1))
+    rest = ~np.isin(rows1, rows0)
+    lam = field.zeros((n, Z.cols))
+    lam[rows0] = mat_mul(K1, ExactMatrix(field, Z.data[:h1])).data
+    lam[rows1[rest]] = mat_mul(ExactMatrix(field, K1.data[rest]),
+                               ExactMatrix(field, Z.data[h1:])).data
+    R, piv = rref(ExactMatrix(field, lam[::-1].T))
+    return (ExactMatrix(field, np.ascontiguousarray(R.data[len(piv) - 1::-1, ::-1].T)),
+            tuple(n - 1 - c for c in reversed(piv)))
 
 
 @dataclass(frozen=True)
@@ -208,7 +301,11 @@ def h1_dim(sys, a):
 
 
 def hf_quotient(sys, a):
-    """Hilbert function of R/I at a: dim R_a minus rank of [f0 f1 f2]."""
+    """Hilbert function of R/I at a: dim R_a minus rank of [f0 f1 f2].
+
+    Nothing eliminates that matrix: the value is dim V_a, the number of
+    free monomials of the record _quotient_kernel builds by recursion.
+    """
     return len(_quotient_kernel(sys, a)[1])
 
 

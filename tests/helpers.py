@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from bigres.exactcore import GF, ExactMatrix, mat_rank
+from bigres.exactcore import GF, ExactMatrix, kernel_data, mat_rank
 from bigres.bipoly import BiPoly, SystemF, strand_basis
 from bigres.segre import basepoint_free
-from bigres.strands import InverseStrandBasis
+from bigres.strands import InverseStrandBasis, _ring_differential
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -88,6 +88,12 @@ def inverse_block_oracle(f, src):
                        + (tgt.uv_order - (y - ga)))
             m.data[row, col] = fld.add(m.get(row, col), coef)
     return m
+
+
+def dense_quotient_kernel(sys_, b):
+    """kernel_data of d_1^T at b, by one dense elimination of the transposed
+    generator strand: the reference for strands._quotient_kernel."""
+    return kernel_data(ExactMatrix(sys_.field, _ring_differential(sys_, b, 1).data.T))
 
 
 def mat_hstack(field, blocks):

@@ -199,6 +199,13 @@ def test_usage_errors(tmp_path, capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == err, argv
+    # an output file in a missing directory is refused before computing
+    for flag, argv in (("-o", ["plot", MAPS6, "--box", "10,20", "-o"]),
+                       ("--csv", ["lab", "--d", "1,3", "--trials", "2", "--csv"])):
+        path = str(tmp_path / "missing" / f"out{flag}")
+        assert main(argv + [path]) == 2, flag
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: no such directory\n"
 
 
 def test_svg_deterministic(tmp_path, capsys):

@@ -15,8 +15,8 @@ from bigres.strands import (_inverse_block, _koszul_differential, _koszul_spots,
                             is_generic, koszul_strand_homology, phi_matrices)
 from bigres.betti import VAR_DEGREES, _H1Strands, _QuotientStrands
 from bigres.cli import load_system
-from helpers import (data_path, inverse_block_oracle, mat_hstack, mat_vstack, mod_p,
-                     random_bpf_system, random_system)
+from helpers import (data_path, dense_quotient_kernel, inverse_block_oracle, mat_hstack,
+                     mat_vstack, mod_p, random_bpf_system, random_form, random_system)
 
 FLD = GF()
 
@@ -318,3 +318,49 @@ def test_hf_quotient_edges():
     # below d nothing can be hit by the ideal
     assert hf_quotient(sys_, (0, 1)) == strand_dim((0, 1))
     assert hf_quotient(sys_, (3, 3)) == 0
+
+
+def _assert_records_equal(sys_, box):
+    # the recursion must return the very record of the dense elimination:
+    # the same free monomials and the same kernel array, entry for entry
+    scalar = int if sys_.field.is_prime_field else Fraction
+    for a1 in range(-1, box[0] + 1):
+        for a2 in range(-1, box[1] + 1):
+            (got, free), (want, want_free) = (_quotient_kernel(sys_, (a1, a2)),
+                                              dense_quotient_kernel(sys_, (a1, a2)))
+            assert free == want_free, (a1, a2)
+            assert got.data.dtype == want.data.dtype, (a1, a2)
+            assert got.data.shape == want.data.shape, (a1, a2)
+            rows = got.data.tolist()
+            assert rows == want.data.tolist(), (a1, a2)
+            assert all(type(x) is scalar for row in rows for x in row), (a1, a2)
+
+
+@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
+def test_quotient_kernel_matches_dense_oracle(d, fld):
+    sys_ = random_system(fld, d, random.Random(60 * d[0] + d[1]))
+    _assert_records_equal(sys_, (3 * d[0] + 3, 3 * d[1] + 3))
+
+
+@pytest.mark.parametrize("name", ["sys_bp.json", "sys_conic12.json", "sys_maps6.json"])
+def test_quotient_kernel_matches_dense_oracle_on_data(name):
+    sys_ = load_system(data_path(name))
+    _assert_records_equal(sys_, (3 * sys_.d[0] + 3, 3 * sys_.d[1] + 3))
+
+
+def test_quotient_kernel_matches_dense_oracle_with_common_factor():
+    # the recursion assumes nothing of the system: a common (0,1) factor
+    # leaves R/I infinite-dimensional and V_b nonzero in every degree
+    fld, rng = GF(101), random.Random(61)
+    common = random_form(fld, (0, 1), rng)
+    sys_ = SystemF(fld, (1, 2), [common * random_form(fld, (1, 1), rng) for _ in range(3)])
+    assert hf_quotient(sys_, (9, 12)) > 0
+    _assert_records_equal(sys_, (6, 9))
+
+
+def test_quotient_kernel_deep_chain():
+    # the chain from (2, 600) down to d = (1,1) is 600 steps long; it is
+    # filled from the bottom up, not by one nested call per step
+    sys_ = random_bpf_system(FLD, (1, 1), random.Random(62))
+    assert hf_quotient(sys_, (2, 600)) == len(dense_quotient_kernel(sys_, (2, 600))[1])
