@@ -65,7 +65,7 @@ def main():
         pi, qi = split_st(f)
         six.extend([pi, qi])
     six = [six[0], six[2], six[4], six[1], six[3], six[5]]  # p0,p1,p2,q0,q1,q2
-    N = hb_kernel(six, args.n).column_matrix()
+    N = hb_kernel(six).column_matrix()
 
     rng = random.Random(args.seed + 1)
     pts = [(rng.randrange(1, p), rng.randrange(1, p)) for _ in range(args.points)]

@@ -6,8 +6,8 @@ variable Koszul complex applied to the middle homology module H1 realized by
 kernel bases of the phi maps.  The two routes are kept separate on purpose;
 their pointwise relation is reported, not reconciled.
 
-Both routes read kernel_data records of the per-system strand store of
-strands, which owns every elimination, and both exploit the identity pattern
+Both routes read the per-system strand store of strands, which owns every
+elimination and every module action, and both exploit the identity pattern
 of echelonized kernel bases.  Quotient strands come from the record of the
 kernel of d_1^T, the inverse system of I at that degree, which
 strands._quotient_kernel builds by recursion on the degree without
@@ -15,11 +15,12 @@ eliminating d_1^T: its free monomials are the quotient basis, and row m of
 its kernel matrix holds the R/I coordinates of monomial m, so multiplication
 by a variable is a row lookup, not a solve.  H1 strands come from the phi
 kernel records: coordinates of a kernel vector are its entries at the free
-columns.
+columns.  The variable actions on both modules are store records too
+(strands._quotient_action and strands._h1_action), built once per system.
 
 The Koszul differentials over the spots come from the one Koszul strand
-builder, strands._koszul_differential, with either provider as the module.
-Every other block matrix here (the H1 action, resolution strands, the
+builder, strands._koszul_differential, given a module's strand dims and
+actions.  Every other block matrix here (resolution strands, the
 Hilbert-Burch span and the syz3star check) is assembled by
 exactcore.mat_from_blocks from multiplication blocks of the one term kernel
 in bipoly.
@@ -29,86 +30,29 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
+from functools import partial
 
 from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
-from .bipoly import BiPoly, _term_rows, gcd_binary, mul_matrix, split_st, strand_dim
-from .strands import (VAR_EXPONENTS, _inverse_block, _koszul_differential, _koszul_spots,
-                      _phi_kernels, _quotient_kernel, hf_quotient)
-
-VAR_NAMES = ("s", "t", "u", "v")
-VAR_DEGREES = ((1, 0), (1, 0), (0, 1), (0, 1))
-
-
-# ---------------------------------------------------------- strand providers
-
-class _QuotientStrands:
-    """Strands of R/I, read from the kernel records of d_1^T in the strand
-    store."""
-
-    def __init__(self, sys):
-        self.sys = sys
-        self.field = sys.field
-
-    def dim(self, b):
-        return len(_quotient_kernel(self.sys, b)[1])
-
-    def action(self, xi, b):
-        """Multiplication by variable xi: quotient strand b -> b + deg(xi).
-
-        xi times a quotient basis monomial of b is a monomial of b + deg(xi),
-        whose R/I coordinates are its row of the kernel matrix there.
-        """
-        b = tuple(b)
-        dx = VAR_DEGREES[xi]
-        free_src = np.array(_quotient_kernel(self.sys, b)[1], dtype=np.int64)
-        kern_tgt = _quotient_kernel(self.sys, (b[0] + dx[0], b[1] + dx[1]))[0]
-        tgt = _term_rows(VAR_EXPONENTS[xi:xi + 1], free_src, b, (1, 1))[0]
-        return ExactMatrix(self.field, kern_tgt.data[tgt].T)
-
-
-class _H1Strands:
-    """Strands of the middle homology module, read from the phi kernel
-    records of the strand store."""
-
-    def __init__(self, sys):
-        self.sys = sys
-        self.field = sys.field
-
-    def dim(self, b):
-        return sum(k.nullity for k in _phi_kernels(self.sys, b))
-
-    def action(self, xi, b):
-        """Variable action on kernel coordinates, block diagonal over V1/V2."""
-        b = tuple(b)
-        dx = VAR_DEGREES[xi]
-        bt = (b[0] + dx[0], b[1] + dx[1])
-        x = BiPoly.variable(self.field, VAR_NAMES[xi])
-        src, tgt = _phi_kernels(self.sys, b), _phi_kernels(self.sys, bt)
-        blocks = {(k, k): mat_mul(_inverse_block(x, ks.src), ks.kernel).data[list(kt.free)]
-                  for k, (ks, kt) in enumerate(zip(src, tgt)) if ks.nullity and kt.nullity}
-        return mat_from_blocks(self.field, [k.nullity for k in tgt],
-                               [k.nullity for k in src], blocks)
-
-
-def _koszul_module_homology(provider, a):
-    """Homology dims (H_0..H_4) of the variable Koszul complex on a module.
-
-    The complex at bidegree a has a spot for each subset S of {s,t,u,v}, and
-    strands._koszul_differential builds each differential.  Each spot degree's
-    dim is read once, and all of them before any action is built.
-    """
-    spots = [_koszul_spots(VAR_DEGREES, a, j) for j in range(5)]
-    dim = {b: provider.dim(b) for group in spots for _, b in group}
-    ranks = [0] + [mat_rank(_koszul_differential(provider.field, VAR_DEGREES, a, j,
-                                                 dim.__getitem__, provider.action))
-                   for j in range(1, 5)] + [0]
-    dims = [sum(dim[b] for _, b in group) for group in spots]
-    return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(5))
+from .bipoly import BiPoly, gcd_binary, mul_matrix, split_st, strand_dim
+from .strands import (VAR_DEGREES, _h1_action, _koszul_differential, _koszul_spots,
+                      _quotient_action, h1_dim, hf_quotient)
 
 
 # --------------------------------------------------------------- Betti tables
+
+def _koszul_module_homology(field, a, dim, action):
+    """Homology dims (H_0..H_4) at degree a of the variable Koszul complex
+    on a module with strand dims dim(b) and actions action(b, xi) of the
+    variables; strands._koszul_differential builds each differential.  Each
+    spot degree's dim is read once."""
+    spots = [_koszul_spots(VAR_DEGREES, a, j) for j in range(5)]
+    dim_at = {b: dim(b) for group in spots for _, b in group}
+    ranks = [0] + [mat_rank(_koszul_differential(field, VAR_DEGREES, a, j,
+                                                 dim_at.__getitem__, action))
+                   for j in range(1, 5)] + [0]
+    dims = [sum(dim_at[b] for _, b in group) for group in spots]
+    return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(5))
+
 
 @dataclass
 class BettiTable:
@@ -166,12 +110,12 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
             raise ValueError("need box or degrees")
         degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]
     degrees = sorted(set(map(tuple, degrees)))
-    qs = _QuotientStrands(sys)
+    dim, action = partial(hf_quotient, sys), partial(_quotient_action, sys)
     entries = {}
     for a in degrees:
-        for j, dim in enumerate(_koszul_module_homology(qs, a)):
-            if dim:
-                entries[(j, a)] = dim
+        for j, h in enumerate(_koszul_module_homology(sys.field, a, dim, action)):
+            if h:
+                entries[(j, a)] = h
     if convention == "IdealConvention":
         entries = {(j - 1, a): m for (j, a), m in entries.items() if j >= 1}
     warning = hf_quotient(sys, (3 * sys.d[0], 3 * sys.d[1])) != 0
@@ -200,7 +144,8 @@ def mcomplex_dims(sys, a):
     The tail must vanish; nonzero H(M)_3 or H(M)_4 signals a broken kernel
     model and raises.
     """
-    hom = _koszul_module_homology(_H1Strands(sys), tuple(a))
+    hom = _koszul_module_homology(sys.field, tuple(a), partial(h1_dim, sys),
+                                  partial(_h1_action, sys))
     if hom[3] or hom[4]:
         raise ArithmeticError(f"M-complex tail homology nonzero at {a}: {hom}")
     return hom
@@ -358,7 +303,7 @@ class HilbertBurchData:
         return [[col[r] for col in self.columns] for r in range(len(self.generators))]
 
 
-def hb_kernel(q, degree=None):
+def hb_kernel(q):
     """Minimal syzygies of m >= 2 coprime (0,n) forms, strand by strand.
 
     Walks degrees upward; at each degree the kernel of the stacked
@@ -371,7 +316,7 @@ def hb_kernel(q, degree=None):
     if m < 2:
         raise ValueError("need at least two forms")
     fld = q[0].field
-    n = q[0].degree[1] if degree is None else degree
+    n = q[0].degree[1]
     if any(g.degree != (0, n) for g in q):
         raise ValueError("forms must share one degree")
     if all(g.is_zero() for g in q):
@@ -459,7 +404,7 @@ def syz3star(sys):
     if mat_rank(ExactMatrix.from_rows(fld, coeff_rows)) != 6:
         raise ValueError("split forms are dependent; use the reduced "
                          "conic/pencil constructions instead")
-    hb = hb_kernel(six, n)
+    hb = hb_kernel(six)
     N = hb.column_matrix()  # 6 rows x 5 columns of (0,*) forms
     p = six[:3]
     q = six[3:]

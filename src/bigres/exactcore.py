@@ -212,15 +212,13 @@ def mat_from_blocks(field, row_dims, col_dims, blocks):
     """Block matrix whose block rows have heights row_dims and whose block
     columns have widths col_dims; the one place that computes block offsets.
 
-    blocks maps (i, j) to the array of block (i, j), or is an iterable of
-    ((i, j), array) pairs, written one at a time as they are produced.
-    Omitted blocks are zero.  A block of any shape other than
-    (row_dims[i], col_dims[j]) raises ValueError, also where numpy would
-    broadcast it.
+    blocks maps (i, j) to the array of block (i, j); omitted blocks are
+    zero.  A block of any shape other than (row_dims[i], col_dims[j])
+    raises ValueError, also where numpy would broadcast it.
     """
     r0, c0 = [0, *accumulate(row_dims)], [0, *accumulate(col_dims)]
     out = field.zeros((r0[-1], c0[-1]))
-    for (i, j), blk in (blocks.items() if isinstance(blocks, dict) else blocks):
+    for (i, j), blk in blocks.items():
         if np.shape(blk) != (row_dims[i], col_dims[j]):
             raise ValueError(f"block ({i},{j}) has shape {np.shape(blk)}, "
                              f"its slot {(row_dims[i], col_dims[j])}")

@@ -36,7 +36,8 @@ class BasepointVerdict:
 
     def __str__(self):
         if self.kind == "HasBasepoint" and self.witness:
-            return f"HasBasepoint at {self.witness}"
+            pts = ", ".join(f"({', '.join(map(str, pt))})" for pt in self.witness)
+            return f"HasBasepoint at ({pts})"
         if self.kind == "Inconclusive":
             return f"Inconclusive ({self.hint})"
         return self.kind

@@ -11,16 +11,17 @@ strand matrix is assembled by exactcore.mat_from_blocks.
 Every Koszul strand comes from one builder, _koszul_differential: the
 complex on the net f0, f1, f2 acting on R (its d_1 is the generator strand
 [f0 f1 f2]), and the complex on the variables s, t, u, v acting on R/I or
-on H1 (the Betti strand providers in betti).
+on H1, whose actions are the records _quotient_action and _h1_action.
 
 Everything here is a pure function of (system, bidegree).  One per-system
-store owns every elimination: the quotient record, the phi pair and the
-higher Koszul maps at a degree are each computed once per system, and
-hf_quotient, h1_dim, koszul_strand_homology, is_generic and the Betti strand
-providers all read the same records.  The quotient and the phi pair keep
-one kind of record, kernel_data: for the quotient it is the kernel of the
-transposed generator strand d_1^T, the inverse system V_b = (I_b)^perp of I
-at that degree, whose free monomials span R/I there.
+store owns every elimination and every module action: the quotient record,
+the phi pair, the higher Koszul ranks and the R/I and H1 actions of each
+variable at a degree are each computed once per system, and hf_quotient,
+h1_dim, koszul_strand_homology, is_generic and the Koszul complexes on R/I
+and H1 in betti all read the same records.  The quotient and the phi pair
+keep one kind of record, kernel_data: for the quotient it is the kernel of
+the transposed generator strand d_1^T, the inverse system V_b = (I_b)^perp
+of I at that degree, whose free monomials span R/I there.
 
 That record is not eliminated from d_1^T, a matrix of dim R_b x 3 dim
 R_(b-d).  _quotient_kernel builds V_b from V_(b-e) and V_(b-2e), e = (1,0)
@@ -42,7 +43,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
-from .bipoly import _product, _term_rows, mul_matrix, strand_dim
+from .bipoly import BiPoly, _product, _term_rows, mul_matrix, strand_dim
 
 
 @dataclass(frozen=True)
@@ -116,35 +117,31 @@ def _koszul_spots(degs, a, j):
 def _koszul_differential(field, degs, a, j, dim, action):
     """Degree-a strand of d_j in the Koszul complex on forms x_l of
     bidegrees degs, acting on a module M with strand dims dim(b) and action
-    matrices action(l, b): M_b -> M_(b + degs[l]).
+    matrices action(b, l): M_b -> M_(b + degs[l]).
 
     d(e_S m) = sum_k (-1)^k e_(S minus S_k) x_(S_k) m, over the spots of
-    _koszul_spots.  Each spot's dim is read once; blocks between empty spots
-    are skipped; each action is built once and dropped as soon as its blocks
-    are written.
+    _koszul_spots.  Blocks between empty spots are skipped, and each action
+    is asked for once per call, since several blocks share it.
     """
     rows, cols = _koszul_spots(degs, a, j - 1), _koszul_spots(degs, a, j)
     row_dims, col_dims = [dim(b) for _, b in rows], [dim(b) for _, b in cols]
     row_of = {S: r for r, (S, _) in enumerate(rows)}
-    uses = {}    # (l, b) -> [(row spot, column spot, sign is odd)]
+    acts, blocks = {}, {}
     for c, (S, b) in enumerate(cols):
         for k, l in enumerate(S):
             r = row_of[S[:k] + S[k + 1:]]
             if col_dims[c] and row_dims[r]:
-                uses.setdefault((l, b), []).append((r, c, k % 2))
-
-    def blocks():
-        for (l, b), places in uses.items():
-            blk = action(l, b).data
-            for r, c, odd in places:
-                yield (r, c), field.reduce(-blk) if odd else blk
-    return mat_from_blocks(field, row_dims, col_dims, blocks())
+                if (b, l) not in acts:
+                    acts[b, l] = action(b, l).data
+                blk = acts[b, l]
+                blocks[r, c] = field.reduce(-blk) if k % 2 else blk
+    return mat_from_blocks(field, row_dims, col_dims, blocks)
 
 
 def _ring_differential(sys, a, j):
     """d_j of the Koszul complex on f0, f1, f2 acting on R, at degree a."""
     return _koszul_differential(sys.field, (sys.d,) * 3, a, j, strand_dim,
-                                lambda l, b: mul_matrix(sys.polys[l], b))
+                                lambda b, l: mul_matrix(sys.polys[l], b))
 
 
 # ------------------------------------------------------------- strand store
@@ -153,17 +150,19 @@ _store = WeakKeyDictionary()
 
 
 def _per_system(build):
-    """Memoize build(sys, a) in the store of sys: one record per degree.
+    """Memoize build(sys, a, *rest) in the store of sys: one record per
+    degree a and further arguments rest.
 
-    Records must hold no reference to sys; the weak key alone then decides
-    when a system and its records are freed.
+    Records are keyed by the builder's name, so every builder lives in this
+    module.  Records must hold no reference to sys; the weak key alone then
+    decides when a system and its records are freed.
     """
-    def record(sys, a):
+    def record(sys, a, *rest):
         a = tuple(a)
         recs = _store.setdefault(sys, {})
-        key = (build.__name__, a)
+        key = (build.__name__, a, *rest)
         if key not in recs:
-            recs[key] = build(sys, a)
+            recs[key] = build(sys, a, *rest)
         return recs[key]
     return record
 
@@ -194,6 +193,7 @@ def _quotient_kernel(sys, b):
     return recs[chain[0]]
 
 
+VAR_DEGREES = ((1, 0), (1, 0), (0, 1), (0, 1))
 VAR_EXPONENTS = np.eye(4, dtype=np.int64)  # rows s, t, u, v
 
 
@@ -293,6 +293,33 @@ def _phi_kernels(sys, a):
 def _koszul_ranks(sys, a):
     """(rank d_2, rank d_3) at a."""
     return tuple(mat_rank(_ring_differential(sys, a, j)) for j in (2, 3))
+
+
+@_per_system
+def _quotient_action(sys, b, xi):
+    """Multiplication by variable xi: quotient strand b -> b + deg(xi).
+
+    xi times a quotient basis monomial of b is a monomial of b + deg(xi),
+    whose R/I coordinates are its row of the kernel matrix there.
+    """
+    dx = VAR_DEGREES[xi]
+    free_src = np.array(_quotient_kernel(sys, b)[1], dtype=np.int64)
+    kern_tgt = _quotient_kernel(sys, (b[0] + dx[0], b[1] + dx[1]))[0]
+    tgt = _term_rows(VAR_EXPONENTS[xi:xi + 1], free_src, b, (1, 1))[0]
+    return ExactMatrix(sys.field, kern_tgt.data[tgt].T)
+
+
+@_per_system
+def _h1_action(sys, b, xi):
+    """Variable action on H1 kernel coordinates, block diagonal over V1/V2:
+    H1 strand b -> b + deg(xi)."""
+    dx = VAR_DEGREES[xi]
+    x = BiPoly.variable(sys.field, "stuv"[xi])
+    src, tgt = _phi_kernels(sys, b), _phi_kernels(sys, (b[0] + dx[0], b[1] + dx[1]))
+    blocks = {(k, k): mat_mul(_inverse_block(x, ks.src), ks.kernel).data[list(kt.free)]
+              for k, (ks, kt) in enumerate(zip(src, tgt)) if ks.nullity and kt.nullity}
+    return mat_from_blocks(sys.field, [k.nullity for k in tgt], [k.nullity for k in src],
+                           blocks)
 
 
 def h1_dim(sys, a):

@@ -15,6 +15,7 @@ from bigres.betti import (BettiTable, HilbertBurchData, ResolutionComplex,
                           mcomplex_dims, mcomplex_sums, nonkoszul_beta1,
                           poly_mat_is_zero, poly_mat_mul, prop32_matrices,
                           route_equality_report, syz3star, verify_resolution)
+from bigres import strands
 from bigres.segre import conic_resolution, detect_conic
 from bigres.strands import h1_dim, hf_quotient, is_generic, koszul_strand_homology
 from bigres.cli import load_system
@@ -152,6 +153,35 @@ def test_system_is_freed_after_strand_queries():
     del sys_
     gc.collect()
     assert ref() is None
+
+
+def test_repeated_queries_build_no_action(monkeypatch):
+    # the R/I and H1 actions are records of the strand store, each built once
+    # per system: a second betti_table on the same box, or a second
+    # mcomplex_dims at the same degree, builds none
+    builds = []
+
+    class Records(dict):
+        def __setitem__(self, key, value):
+            if key[0].endswith("_action"):
+                builds.append(key)
+            super().__setitem__(key, value)
+
+    class Store(weakref.WeakKeyDictionary):
+        def setdefault(self, key, default=None):
+            return super().setdefault(key, Records())
+
+    monkeypatch.setattr(strands, "_store", Store())
+    sys_ = random_bpf_system(FLD, (1, 2), random.Random(8))
+    for query in (lambda: betti_table(sys_, box=(4, 6)), lambda: mcomplex_dims(sys_, (3, 8))):
+        before = len(builds)
+        query()
+        built = len(builds)
+        assert built > before
+        query()
+        assert len(builds) == built
+    assert {name for name, *_ in builds} == {"_quotient_action", "_h1_action"}
+    assert len(set(builds)) == len(builds)
 
 
 @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 1)])

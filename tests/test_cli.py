@@ -119,6 +119,19 @@ def test_resolve_error_paths(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["32003", "Q"])
+def test_basepoint_witness_prints_field_elements(tmp_path, capsys, field):
+    # the witness reads the same over both fields: coordinates are printed
+    # as field elements, never as Fraction reprs
+    obj = load_json("sys_bp.json")
+    obj["field"] = field
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(obj))
+    assert main(["resolve", str(path), "--case", "conic"]) == 1
+    assert capsys.readouterr().err == ("error: system is not basepoint-free: "
+                                       "HasBasepoint at ((0, 1), (0, 1))\n")
+
+
 def test_classify_cli(capsys):
     assert main(["classify", CONIC12]) == 0
     data = json.loads(capsys.readouterr().out)

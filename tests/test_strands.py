@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ import pytest
 from bigres.exactcore import GF, QQ, ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
 from bigres.bipoly import BiPoly, SystemF, mul_matrix, strand_dim
 from bigres.combinat import chi, cod, dom, nd
-from bigres.strands import (_inverse_block, _koszul_differential, _koszul_spots,
-                            _phi_kernels, _phi_sources, _quotient_kernel, _ring_differential,
-                            critical_ranges, h1_dim, h1_support_box, hf_quotient,
-                            is_generic, koszul_strand_homology, phi_matrices)
-from bigres.betti import VAR_DEGREES, _H1Strands, _QuotientStrands
+from bigres import strands
+from bigres.strands import (VAR_DEGREES, _h1_action, _inverse_block, _koszul_differential,
+                            _koszul_spots, _phi_kernels, _phi_sources, _quotient_action,
+                            _quotient_kernel, _ring_differential, critical_ranges, h1_dim,
+                            h1_support_box, hf_quotient, is_generic, koszul_strand_homology,
+                            phi_matrices)
 from bigres.cli import load_system
 from helpers import (data_path, dense_quotient_kernel, inverse_block_oracle, mat_hstack,
                      mat_vstack, mod_p, random_bpf_system, random_form, random_system)
@@ -59,15 +61,14 @@ def test_phi_blocks_prime_field_match_rationals(d):
     rng = random.Random(7 * d[0] + d[1])
     sq = random_system(QQ, d, rng)
     sp = SystemF(GF(p), d, [BiPoly(GF(p), d, f.coeffs) for f in sq.polys])
-    for provider in (_QuotientStrands, _H1Strands):
-        pq, pp = provider(sq), provider(sp)
+    for action in (_quotient_action, _h1_action):
         for a1 in range(2 * d[0] + 3):
             for a2 in range(2 * d[1] + 3):
                 for xi in range(4):
-                    want = pq.action(xi, (a1, a2)).data.tolist()
-                    got = pp.action(xi, (a1, a2)).data.tolist()
+                    want = action(sq, (a1, a2), xi).data.tolist()
+                    got = action(sp, (a1, a2), xi).data.tolist()
                     assert got == [[mod_p(x, p) for x in row] for row in want], \
-                        (provider.__name__, a1, a2, xi)
+                        (action.__name__, a1, a2, xi)
 
 
 @pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
@@ -85,8 +86,8 @@ def test_builders_return_field_dtype(fld):
             _inverse_block(sys_.polys[0], src1), _inverse_block(sys_.polys[0], src2),
             *(_ring_differential(sys_, (5, 6), j) for j in (1, 2, 3)),
             _quotient_kernel(sys_, (1, 2))[0]]
-    mats += [_QuotientStrands(sys_).action(xi, (1, 2)) for xi in range(4)]
-    mats += [_H1Strands(sys_).action(xi, (1, 6)) for xi in (2, 3)]
+    mats += [_quotient_action(sys_, (1, 2), xi) for xi in range(4)]
+    mats += [_h1_action(sys_, (1, 6), xi) for xi in (2, 3)]
     scalar = int if fld.is_prime_field else Fraction
     for k, mat in enumerate(mats):
         assert isinstance(mat.data, np.ndarray) and mat.data.dtype == fld.dtype, k
@@ -160,8 +161,9 @@ def test_koszul_differentials_are_complexes(d, fld):
     # so d_3 of the ring complex is nonzero in it.  The ranks are checked
     # against matrices built from mul_matrix by the store test below.
     sys_ = random_bpf_system(fld, d, random.Random(40 * d[0] + d[1]))
-    modules = [((d,) * 3, strand_dim, lambda l, b: mul_matrix(sys_.polys[l], b))]
-    modules += [(VAR_DEGREES, p.dim, p.action) for p in (_QuotientStrands(sys_), _H1Strands(sys_))]
+    modules = [((d,) * 3, strand_dim, lambda b, l: mul_matrix(sys_.polys[l], b)),
+               (VAR_DEGREES, partial(hf_quotient, sys_), partial(_quotient_action, sys_)),
+               (VAR_DEGREES, partial(h1_dim, sys_), partial(_h1_action, sys_))]
     for a1 in range(3 * d[0] + 2):
         for a2 in range(3 * d[1] + 2):
             a = (a1, a2)
@@ -181,13 +183,12 @@ def test_koszul_differentials_are_complexes(d, fld):
 @pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
 @pytest.mark.parametrize("d", [(1, 2), (2, 2)])
 def test_provider_actions_are_induced_maps(d, fld):
-    # each provider's action is the map that multiplication by a variable
+    # each module action record is the map that multiplication by a variable
     # induces on its module.  R/I: projecting to R/I coordinates (K^T, with
     # K the kernel matrix of d_1^T) commutes with multiplication on R.  H1:
     # including kernel coordinates (the kernel basis of phi_k) commutes with
     # the action on each phi source, V1 and V2.
     sys_ = random_bpf_system(fld, d, random.Random(50 * d[0] + d[1]))
-    qs, hs = _QuotientStrands(sys_), _H1Strands(sys_)
     for a1 in range(3 * d[0] + 2):
         for a2 in range(3 * d[1] + 2):
             b = (a1, a2)
@@ -198,14 +199,29 @@ def test_provider_actions_are_induced_maps(d, fld):
                 proj_src = ExactMatrix(fld, k_src.data.T)
                 proj_tgt = ExactMatrix(fld, k_tgt.data.T)
                 assert mat_mul(proj_tgt, mul_matrix(x, b)) == \
-                    mat_mul(qs.action(xi, b), proj_src), ("R/I", b, xi)
-                act = hs.action(xi, b).data
+                    mat_mul(_quotient_action(sys_, b, xi), proj_src), ("R/I", b, xi)
+                act = _h1_action(sys_, b, xi).data
                 r0 = c0 = 0
                 for ks, kt in zip(_phi_kernels(sys_, b), _phi_kernels(sys_, bt)):
                     block = ExactMatrix(fld, act[r0:r0 + kt.nullity, c0:c0 + ks.nullity])
                     assert mat_mul(_inverse_block(x, ks.src), ks.kernel) == \
                         mat_mul(kt.kernel, block), ("H1", b, xi)
                     r0, c0 = r0 + kt.nullity, c0 + ks.nullity
+
+
+def test_ring_differential_builds_each_block_once(monkeypatch):
+    # the ring complex's actions mul_matrix(f_l, b) grow as dim R_b^2 and are
+    # not stored, but one d_2 asks for each of its three once, although two
+    # of its blocks carry each f_l
+    sys_ = random_bpf_system(FLD, (1, 2), random.Random(11))
+    calls = []
+
+    def counting(f, b):
+        calls.append(b)
+        return mul_matrix(f, b)
+    monkeypatch.setattr(strands, "mul_matrix", counting)
+    assert _ring_differential(sys_, (4, 6), 2).cols == 3 * strand_dim((2, 2))
+    assert calls == [(2, 2)] * 3
 
 
 @pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
