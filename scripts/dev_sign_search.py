@@ -25,7 +25,7 @@ import itertools
 import random
 
 from bigres.exactcore import GF
-from bigres.bipoly import split_st
+from bigres.bipoly import theta_matrix
 from bigres.betti import hb_kernel
 from bigres.lab import ExperimentConfig, sample_system
 
@@ -60,11 +60,8 @@ def main():
     p = 32003
     fld = GF(p)
     sys_ = sample_system(ExperimentConfig((1, args.n), trials=1, seed=args.seed))
-    six = []
-    for f in sys_.polys:
-        pi, qi = split_st(f)
-        six.extend([pi, qi])
-    six = [six[0], six[2], six[4], six[1], six[3], six[5]]  # p0,p1,p2,q0,q1,q2
+    p_row, q_row = theta_matrix(sys_.polys)
+    six = p_row + q_row  # p0,p1,p2,q0,q1,q2
     N = hb_kernel(six).column_matrix()
 
     rng = random.Random(args.seed + 1)

@@ -20,10 +20,15 @@ columns.  The variable actions on both modules are store records too
 
 The Koszul differentials over the spots come from the one Koszul strand
 builder, strands._koszul_differential, given a module's strand dims and
-actions.  Every other block matrix here (resolution strands, the
-Hilbert-Burch span and the syz3star check) is assembled by
-exactcore.mat_from_blocks from multiplication blocks of the one term kernel
-in bipoly.
+actions.
+
+The syzygy constructors share one small polynomial-matrix kernel: poly_dot
+is the one sum of products (poly_mat_mul is a comprehension over it), cross
+the signed 2x2 minors of two triples, and poly_strand the one builder of the
+degree strand of a polynomial matrix, from the multiplication blocks of
+bipoly.mul_matrix.  The resolution strands, the Hilbert-Burch span and the
+syz3star check all go through poly_strand; the (1,n) split f_i = s p_i +
+t q_i is read from bipoly.theta_matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import partial
 
 from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
-from .bipoly import BiPoly, gcd_binary, mul_matrix, split_st, strand_dim
+from .bipoly import BiPoly, gcd_binary, mul_matrix, strand_dim, theta_matrix
 from .strands import (VAR_DEGREES, _h1_action, _koszul_differential, _koszul_spots,
                       _quotient_action, h1_dim, hf_quotient)
 
@@ -207,10 +212,7 @@ class SyzygyVector:
 
 
 def _checked_syzygy(sys, entries):
-    total = BiPoly.zero(sys.field, (entries[0].degree[0] + sys.d[0],
-                                    entries[0].degree[1] + sys.d[1]))
-    for sig, f in zip(entries, sys.polys):
-        total = total + sig * f
+    total = poly_dot(entries, sys.polys)
     if not total.is_zero():
         raise ArithmeticError("claimed syzygy does not annihilate the system")
     return SyzygyVector(tuple(entries), total.degree)
@@ -229,10 +231,8 @@ def alicia_syzygy(sys):
     """The unique low-degree syzygy for d=(1,n): signed minors of [p; q]."""
     if sys.d[0] != 1:
         raise ValueError("needs d = (1,n)")
-    p, q = zip(*map(split_st, sys.polys))
-    sig = (q[1] * p[2] - p[1] * q[2],
-           p[0] * q[2] - q[0] * p[2],
-           q[0] * p[1] - p[0] * q[1])
+    p, q = theta_matrix(sys.polys)
+    sig = cross(q, p)
     if all(s.is_zero() for s in sig):
         raise ArithmeticError("minor vector vanishes: system has a basepoint")
     return _checked_syzygy(sys, sig)
@@ -249,7 +249,7 @@ def prop32_matrices(sys):
     fld = sys.field
     f0, f1, f2 = sys.polys
     sig = alicia_syzygy(sys).entries
-    p, q = zip(*map(split_st, sys.polys))
+    p, q = theta_matrix(sys.polys)
     s = BiPoly.variable(fld, "s")
     t = BiPoly.variable(fld, "t")
     A = [[sig[0], f1, f2, None],
@@ -268,24 +268,41 @@ def prop32_matrices(sys):
     return A, Aprime, third
 
 
+def poly_dot(u, w):
+    """Sum of the products u_k w_k; None entries are structural zeros, and a
+    sum without a term is None."""
+    acc = None
+    for x, y in zip(u, w):
+        if x is not None and y is not None:
+            acc = x * y if acc is None else acc + x * y
+    return acc
+
+
 def poly_mat_mul(P, Q):
     """Product of polynomial matrices; None entries are structural zeros."""
-    rows, inner, cols = len(P), len(Q), len(Q[0])
-    out = [[None] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                if P[i][k] is None or Q[k][j] is None:
-                    continue
-                term = P[i][k] * Q[k][j]
-                acc = term if acc is None else acc + term
-            out[i][j] = acc
-    return out
+    return [[poly_dot(row, col) for col in zip(*Q)] for row in P]
 
 
 def poly_mat_is_zero(P):
     return all(e is None or e.is_zero() for row in P for e in row)
+
+
+def cross(u, w):
+    """Signed 2x2 minors of the triples u, w: the cross product u x w."""
+    return [u[1] * w[2] - u[2] * w[1],
+            u[2] * w[0] - u[0] * w[2],
+            u[0] * w[1] - u[1] * w[0]]
+
+
+def poly_strand(field, P, src, tgt):
+    """Degree strand of the polynomial matrix P: column c reads the ring
+    strand src[c], row r lands in tgt[r], and block (r, c) multiplies by
+    P[r][c].  None or zero entries and empty sources give zero blocks."""
+    blocks = {(r, c): mul_matrix(e, src[c]).data
+              for r, row in enumerate(P) for c, e in enumerate(row)
+              if e is not None and not e.is_zero() and strand_dim(src[c])}
+    return mat_from_blocks(field, [strand_dim(b) for b in tgt],
+                           [strand_dim(b) for b in src], blocks)
 
 
 # ------------------------------------------------------- Hilbert-Burch kernels
@@ -332,16 +349,12 @@ def hb_kernel(q):
     found = []
     for b in range(0, 3 * n + 1):
         # the row [q_0 ... q_(m-1)] on the degree-b strand
-        stacked = mat_from_blocks(fld, [n + b + 1], [b + 1] * m,
-                                  {(0, l): mul_matrix(qq, (0, b)).data
-                                   for l, qq in enumerate(q)})
-        kern = kernel_data(stacked)[0]
+        kern = kernel_data(poly_strand(fld, [q], [(0, b)] * m, [(0, n + b)]))[0]
         if kern.cols:
             # multiples of the generators found so far: the degree-b strand
             # of each column [gen_0; ...; gen_(m-1)]
-            blocks = {(l, c): mul_matrix(gen[l], (0, b - bk)).data
-                      for c, (gen, bk) in enumerate(found) for l in range(m)}
-            span = mat_from_blocks(fld, [b + 1] * m, [b - bk + 1 for _, bk in found], blocks)
+            span = poly_strand(fld, [[gen[l] for gen, _ in found] for l in range(m)],
+                               [(0, b - bk) for _, bk in found], [(0, b)] * m)
             _, piv = rref(mat_from_blocks(fld, [m * (b + 1)], [span.cols, kern.cols],
                                           {(0, 0): span.data, (0, 1): kern.data}))
             for j in range(kern.cols):
@@ -358,25 +371,19 @@ def hb_kernel(q):
     column_degrees = [b for _, b in found]
     if sum(column_degrees) != n:
         raise ArithmeticError(f"column degrees {column_degrees} do not sum to {n}")
-    for gen, bk in found:
-        total = BiPoly.zero(fld, (0, n + bk))
-        for qq, entry in zip(q, gen):
-            total = total + qq * entry
-        if not total.is_zero():
-            raise ArithmeticError("kernel column fails [q] . N == 0")
-    return HilbertBurchData(list(q), [gen for gen, _ in found], column_degrees)
+    hb = HilbertBurchData(list(q), [gen for gen, _ in found], column_degrees)
+    if not poly_mat_is_zero(poly_mat_mul([hb.generators], hb.column_matrix())):
+        raise ArithmeticError("kernel column fails [q] . N == 0")
+    return hb
 
 
 def _det(rows):
     """Determinant of a square matrix of BiPolys by cofactor expansion."""
     if len(rows) == 1:
         return rows[0][0]
-    acc = None
-    for j, e in enumerate(rows[0]):
-        term = e * _det([row[:j] + row[j + 1:] for row in rows[1:]])
-        term = term if j % 2 == 0 else -term
-        acc = term if acc is None else acc + term
-    return acc
+    return poly_dot([e if j % 2 == 0 else -e for j, e in enumerate(rows[0])],
+                    [_det([row[:j] + row[j + 1:] for row in rows[1:]])
+                     for j in range(len(rows))])
 
 
 def syz3star(sys):
@@ -395,23 +402,20 @@ def syz3star(sys):
         raise ValueError("needs d = (1,n)")
     fld = sys.field
     n = sys.d[1]
-    six = []
-    for f in sys.polys:
-        pi, qi = split_st(f)
-        six.extend([pi, qi])
-    six = [six[0], six[2], six[4], six[1], six[3], six[5]]  # p0,p1,p2,q0,q1,q2
+    p, q = theta_matrix(sys.polys)
+    six = p + q
     coeff_rows = [g.coeff_vector() for g in six]
     if mat_rank(ExactMatrix.from_rows(fld, coeff_rows)) != 6:
         raise ValueError("split forms are dependent; use the reduced "
                          "conic/pencil constructions instead")
     hb = hb_kernel(six)
     N = hb.column_matrix()  # 6 rows x 5 columns of (0,*) forms
-    p = six[:3]
-    q = six[3:]
     Mrows = [p + [None] * 6,
              q + p + [None] * 3,
              [None] * 3 + q + p,
              [None] * 6 + q]
+    ss, tt = BiPoly.variable(fld, "s"), BiPoly.variable(fld, "t")
+    quad = [ss * ss, ss * tt, tt * tt]
     out = []
     krows = []
     for k in range(5):
@@ -432,13 +436,7 @@ def syz3star(sys):
             raise ArithmeticError(f"minor construction degenerated at column {k}")
         kvec = list(a) + list(bmid) + list(c)
         krows.append(kvec)
-        sigs = []
-        ss = BiPoly.variable(fld, "s")
-        tt = BiPoly.variable(fld, "t")
-        for i in range(3):
-            sig = ss * ss * a[i] + ss * tt * bmid[i] + tt * tt * c[i]
-            sigs.append(sig)
-        out.append(_checked_syzygy(sys, tuple(sigs)))
+        out.append(_checked_syzygy(sys, [poly_dot(quad, abc) for abc in zip(a, bmid, c)]))
         if out[-1].total_degree != (3, 2 * n - bk):
             raise ArithmeticError("syzygy degree mismatch")
     Kt = [[krows[k][r] for k in range(5)] for r in range(9)]
@@ -446,10 +444,7 @@ def syz3star(sys):
         raise ArithmeticError("M . K^t != 0")
     for k in range(5):
         bk = hb.column_degrees[k]
-        strand = mat_from_blocks(fld, [2 * n - bk + 1] * 4, [n - bk + 1] * 9,
-                                 {(r, c): mul_matrix(e, (0, n - bk)).data
-                                  for r, row in enumerate(Mrows)
-                                  for c, e in enumerate(row) if e is not None})
+        strand = poly_strand(fld, Mrows, [(0, n - bk)] * 9, [(0, 2 * n - bk)] * 4)
         vec = [x for e in krows[k] for x in e.coeff_vector()]
         col = ExactMatrix.from_rows(fld, [[x] for x in vec])
         if not mat_mul(strand, col).is_zero():
@@ -493,11 +488,8 @@ class ResolutionComplex:
     def strand(self, j, a):
         """Matrix of differential j on the degree-a strand."""
         src = [(a[0] - s[0], a[1] - s[1]) for s in self.shifts[j]]
-        tgt_dims = [strand_dim((a[0] - s[0], a[1] - s[1])) for s in self.shifts[j - 1]]
-        blocks = {(r, c): mul_matrix(e, src[c]).data
-                  for r, row in enumerate(self.diffs[j - 1]) for c, e in enumerate(row)
-                  if e is not None and not e.is_zero() and strand_dim(src[c])}
-        return mat_from_blocks(self.sys.field, tgt_dims, [strand_dim(b) for b in src], blocks)
+        tgt = [(a[0] - s[0], a[1] - s[1]) for s in self.shifts[j - 1]]
+        return poly_strand(self.sys.field, self.diffs[j - 1], src, tgt)
 
     def strand_dims(self, a):
         return [sum(strand_dim((a[0] - s[0], a[1] - s[1])) for s in shifts)

@@ -2,7 +2,8 @@
 
 BiPoly is the package's one polynomial type: a binary form in u,v is a
 BiPoly of bidegree (0, n), and split_st, gcd_binary and binary_roots take
-and return such forms.
+and return such forms.  theta_matrix is the one place where (1,n) forms are
+split as f_i = s p_i + t q_i.
 
 Monomials are exponent tuples (es, et, eu, ev).  The canonical basis of the
 degree-(a1,a2) strand lists s-exponent descending, then u-exponent
@@ -123,9 +124,6 @@ class BiPoly:
         return BiPoly(f, deg, out)
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        return self * c
 
     def coeff_vector(self):
         """Coefficients in strand_basis(self.degree) order."""
@@ -269,6 +267,12 @@ def split_st(f):
         (p if es else q)[(0, 0, eu, ev)] = c
     n = f.degree[1]
     return BiPoly(f.field, (0, n), p), BiPoly(f.field, (0, n), q)
+
+
+def theta_matrix(polys):
+    """Split forms of the (1,n) forms f_i = s p_i + t q_i as a 2 x len(polys)
+    matrix of (0,n) forms: row 0 the p_i, row 1 the q_i."""
+    return [list(row) for row in zip(*map(split_st, polys))]
 
 
 # --------------------------------------------------------------- binary gcds

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .exactcore import GF, DEFAULT_PRIME, ExactMatrix, mat_rank
-from .bipoly import BiPoly, SystemF, split_st, strand_dim
+from .bipoly import BiPoly, SystemF, strand_dim, theta_matrix
 from .combinat import chi, nd, pos_part
 from .strands import check_box, critical_ranges, h1_dim, hf_quotient, is_generic
 from .betti import betti_table, nonkoszul_beta1
@@ -240,10 +240,7 @@ def probe_system(sys, label, box=None):
             pass
         if extract_factorization(sys) is not None:
             detectors.append("factorized")
-        rows = []
-        for f in sys.polys:
-            p, q = split_st(f)
-            rows.extend([p.coeff_vector(), q.coeff_vector()])
+        rows = [g.coeff_vector() for row in theta_matrix(sys.polys) for g in row]
         if mat_rank(ExactMatrix.from_rows(sys.field, rows)) <= 4:
             detectors.append("pencil")
         if tuple(sys.d) == (1, 5):
@@ -251,14 +248,3 @@ def probe_system(sys, label, box=None):
                 detectors.append("square")
     note = "explained" if detectors else "unexplained (conjecture candidate)"
     return ProbeRow(label, False, verdict.witness, detectors, note)
-
-
-def nongeneric_probe(cfg, planted=()):
-    """Probe random draws and planted systems for structured nongenericity."""
-    rows = []
-    for t in range(cfg.trials):
-        sys, _ = _draw(cfg, t)
-        rows.append(probe_system(sys, f"trial {t}", cfg.box))
-    for j, sys in enumerate(planted):
-        rows.append(probe_system(sys, f"planted {j}", cfg.box))
-    return rows

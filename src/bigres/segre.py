@@ -1,11 +1,13 @@
 """Geometry of the span W against Segre loci: basepoints, conics, factorizations.
 
-The exact basepoint test for d=(1,n) works through the 2x3 matrix of split
-forms: W has a basepoint iff the gcd of its three 2x2 minors is nonconstant.
+The exact basepoint test for d=(1,n) works through the 2x3 matrix theta of
+split forms (bipoly.theta_matrix): W has a basepoint iff the gcd of its
+three 2x2 minors (betti.cross) is nonconstant.
 Conic detection looks for a first syzygy with coefficients quadratic in s,t
 and rebuilds the normal basis (t a0, s a0 + t a1, s a1).  The resolution
 templates for the conic and three-point cases are instantiated here and
-verified by betti.verify_resolution.
+verified by betti.verify_resolution.  Every split, sum of products and
+minor here goes through bipoly.theta_matrix and betti's poly_dot and cross.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .exactcore import ExactMatrix, kernel_data, mat_rank, rref
-from .bipoly import BiPoly, SystemF, binary_roots, gcd_binary, split_st
+from .bipoly import BiPoly, SystemF, binary_roots, gcd_binary, theta_matrix
 from .strands import _ring_differential, hf_quotient, phi_matrices
-from .betti import ResolutionComplex, SyzygyVector, hb_kernel
+from .betti import ResolutionComplex, SyzygyVector, cross, hb_kernel, poly_dot
 
 
 class ImpossibleFactorization(Exception):
@@ -41,15 +43,6 @@ class BasepointVerdict:
         if self.kind == "Inconclusive":
             return f"Inconclusive ({self.hint})"
         return self.kind
-
-
-def theta_matrix(sys):
-    """2x3 split-form matrix of (0,n) forms: row 0 the p_i, row 1 the q_i."""
-    if sys.d[0] != 1:
-        raise ValueError("theta needs d = (1,n)")
-    cols = [split_st(f) for f in sys.polys]
-    return [[cols[0][0], cols[1][0], cols[2][0]],
-            [cols[0][1], cols[1][1], cols[2][1]]]
 
 
 def _st_kernel_at(sys, uv_point):
@@ -79,12 +72,7 @@ def basepoint_free(sys):
             return BasepointVerdict("Free")
         return BasepointVerdict("Inconclusive",
                                 hint="retry hf_quotient at (k*d1,k*d2), k=4,5,...")
-    th = theta_matrix(sys)
-    p, q = th
-    minors = [p[0] * q[1] - p[1] * q[0],
-              p[0] * q[2] - p[2] * q[0],
-              p[1] * q[2] - p[2] * q[1]]
-    nonzero = [m for m in minors if not m.is_zero()]
+    nonzero = [m for m in cross(*theta_matrix(sys.polys)) if not m.is_zero()]
     if not nonzero:
         # theta has rank <= 1 everywhere: every (u0,v0) sits under a basepoint
         for uv in ((fld.one(), fld.zero()), (fld.zero(), fld.one()),
@@ -139,23 +127,15 @@ def detect_conic(sys):
     if mat_rank(cm) != 3:
         raise ImpossibleFactorization(
             "conic syzygy coefficients span a degenerate quadric space")
-    fprime = []
-    for j in range(3):
-        acc = BiPoly.zero(fld, sys.d)
-        for i in range(3):
-            acc = acc + sys.polys[i] * cm.get(i, j)
-        fprime.append(acc)
+    fprime = [poly_dot(sys.polys, cm.col(j)) for j in range(3)]
     # s^2 f'_0 + s t f'_1 + t^2 f'_2 == 0 forces f'_0 = t a0, f'_2 = s a1
-    check = (BiPoly.variable(fld, "s") * BiPoly.variable(fld, "s") * fprime[0]
-             + BiPoly.variable(fld, "s") * BiPoly.variable(fld, "t") * fprime[1]
-             + BiPoly.variable(fld, "t") * BiPoly.variable(fld, "t") * fprime[2])
-    if not check.is_zero():
+    s, t = BiPoly.variable(fld, "s"), BiPoly.variable(fld, "t")
+    if not poly_dot([s * s, s * t, t * t], fprime).is_zero():
         raise ImpossibleFactorization("kernel vector fails the syzygy identity")
-    p0, q0 = split_st(fprime[0])
-    p2, q2 = split_st(fprime[2])
-    if not p0.is_zero() or not q2.is_zero():
+    p, q = theta_matrix(fprime)
+    if not p[0].is_zero() or not q[2].is_zero():
         raise ImpossibleFactorization("normalized forms are not divisible by t / s")
-    a0, a1 = q0, p2
+    a0, a1 = q[0], p[2]
     basis = (fprime[0], -fprime[1], fprime[2])
     return ConicNormalForm(a0, a1, basis, cm)
 
@@ -262,18 +242,16 @@ def three_point_resolution(fb):
     if mu == 0:
         raise ConicRedirect("degree-0 kernel column: factors are dependent")
     bcol, ccol = hb.columns[0], hb.columns[1]
-    cross = [bcol[1] * ccol[2] - bcol[2] * ccol[1],
-             ccol[0] * bcol[2] - bcol[0] * ccol[2],
-             bcol[0] * ccol[1] - bcol[1] * ccol[0]]
-    # cross = lam (h0, h1, h2); h0 != 0, as the factors are independent
+    minors = cross(bcol, ccol)
+    # minors = lam (h0, h1, h2); h0 != 0, as the factors are independent
     e0, lead = next(iter(hs[0].coeffs.items()))
-    lam = fld.div(cross[0].coeffs.get(e0, fld.zero()), lead)
+    lam = fld.div(minors[0].coeffs.get(e0, fld.zero()), lead)
     if fld.is_zero(lam):
         raise ArithmeticError("cross product of kernel columns vanished")
     inv = fld.inv(lam)
     ccol = [e * inv for e in ccol]
-    cross = [e * inv for e in cross]
-    for w, h in zip(cross, hs):
+    minors = [e * inv for e in minors]
+    for w, h in zip(minors, hs):
         if w.coeffs != h.coeffs:
             raise ArithmeticError("kernel column orientation failed")
     S, T = g0, g1
@@ -304,25 +282,13 @@ def three_point_resolution(fb):
 def lift_syzygy(fb, avec):
     """Lift a syzygy of the (0,*) factors to the products g_i h_i."""
     g0, g1, g2 = (g for g, _ in fb.pairs)
-    hs = [h for _, h in fb.pairs]
-    fld = fb.field
-    total = None
-    for ak, h in zip(avec, hs):
-        term = ak * h
-        total = term if total is None else total + term
-    if not total.is_zero():
+    if not poly_dot(avec, [h for _, h in fb.pairs]).is_zero():
         raise ValueError("input is not a syzygy of the factors")
     entries = (g1 * g2 * avec[0], g0 * g2 * avec[1], g0 * g1 * avec[2])
-    prods = fb.products()
-    check = None
-    for sig, f in zip(entries, prods):
-        term = sig * f
-        check = term if check is None else check + term
+    check = poly_dot(entries, fb.products())
     if not check.is_zero():
         raise ArithmeticError("lift fails against the products")
-    deg = (entries[0].degree[0] + prods[0].degree[0],
-           entries[0].degree[1] + prods[0].degree[1])
-    return SyzygyVector(entries, deg)
+    return SyzygyVector(entries, check.degree)
 
 
 def pencil_expected_degrees(n):
@@ -381,12 +347,8 @@ def square_strand_singular(sys):
     fld = polys[0].field
     if any(tuple(f.degree) != (1, 5) for f in polys) or len(polys) != 3:
         raise ValueError("square strand needs d == (1,5)")
-    rows = []
-    for f in polys:
-        p, q = split_st(f)
-        rows.append(p.coeff_vector())
-        rows.append(q.coeff_vector())
-    m = ExactMatrix.from_rows(fld, rows)
+    m = ExactMatrix.from_rows(fld, [g.coeff_vector()
+                                    for pq in zip(*theta_matrix(polys)) for g in pq])
     if isinstance(sys, SystemF):
         phi1 = phi_matrices(sys, (3, 8))[0]
         if phi1.rows != 6 or phi1.cols != 6:
@@ -405,11 +367,9 @@ def extract_factorization(sys):
     if sys.d[0] != 1:
         return None
     fld = sys.field
+    s, t = BiPoly.variable(fld, "s"), BiPoly.variable(fld, "t")
     pairs = []
-    for f in sys.polys:
-        p, q = split_st(f)
-        s = BiPoly.variable(fld, "s")
-        t = BiPoly.variable(fld, "t")
+    for p, q in zip(*theta_matrix(sys.polys)):
         if p.is_zero() and q.is_zero():
             return None
         if p.is_zero():

@@ -2,12 +2,11 @@
 
 import json
 import os
-import random
 from fractions import Fraction
 
 import numpy as np
 
-from bigres.exactcore import GF, ExactMatrix, kernel_data, mat_rank
+from bigres.exactcore import ExactMatrix, kernel_data
 from bigres.bipoly import BiPoly, SystemF, strand_basis
 from bigres.segre import basepoint_free
 from bigres.strands import InverseStrandBasis, _ring_differential

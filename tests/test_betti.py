@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bigres.exactcore import GF, QQ
-from bigres.bipoly import BiPoly, SystemF, split_st, strand_dim
-from bigres.betti import (BettiTable, HilbertBurchData, ResolutionComplex,
+from bigres.bipoly import BiPoly, SystemF, strand_dim
+from bigres.betti import (BettiTable, ResolutionComplex,
                           alicia_syzygy, betti_table, hb_kernel, koszul_syzygies,
                           mcomplex_dims, mcomplex_sums, nonkoszul_beta1,
                           poly_mat_is_zero, poly_mat_mul, prop32_matrices,

@@ -8,7 +8,7 @@ import pytest
 
 from bigres.exactcore import GF, QQ
 from bigres.bipoly import BiPoly, SystemF
-from bigres.combinat import chi, nd, nd_grid, neg_part, pos_part, render_grid
+from bigres.combinat import chi, nd, neg_part, pos_part, render_grid
 from bigres.strands import h1_dim
 from bigres.betti import betti_table
 from bigres.cli import dump_system, load_system, main

@@ -1,13 +1,12 @@
 import json
-import random
 
 import pytest
 
 from bigres import lab
 from bigres.exactcore import GF
 from bigres.bipoly import BiPoly, SystemF
-from bigres.lab import (ExperimentConfig, generic_report, nongeneric_probe,
-                        probe_system, rs_check, sample_system)
+from bigres.lab import (ExperimentConfig, generic_report, probe_system, rs_check,
+                        sample_system)
 from bigres.strands import critical_ranges
 from bigres.cli import load_system
 
@@ -114,7 +113,7 @@ def test_probe_propagates_detector_errors(monkeypatch):
 
 def test_probe_generic_rows():
     cfg = ExperimentConfig((1, 1), trials=2, seed=1)
-    rows = nongeneric_probe(cfg)
+    rows = [probe_system(sample_system(cfg, t), f"trial {t}", cfg.box) for t in range(2)]
     assert [r.generic for r in rows] == [True, True]
     assert all(r.note == "generic" and r.detectors == [] for r in rows)
 

@@ -47,6 +47,27 @@ def test_mat_from_blocks_is_the_only_assembler():
     assert not stacking, stacking
 
 
+def _named_in(paths, names):
+    # {name: {(module, enclosing top-level function)}} for every read of a name
+    sites = {name: set() for name in names}
+    for path, tree in _trees(paths):
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id in sites:
+                    sites[node.id].add((path.stem, getattr(top, "name", None)))
+    return sites
+
+
+def test_polynomial_matrix_kernel_is_the_only_route():
+    # strands of polynomial matrices are built by betti.poly_strand (and the
+    # ring differential by strands._ring_differential), and (1,n) forms are
+    # split only by bipoly.theta_matrix
+    sites = _named_in(SRC.glob("*.py"), ("mul_matrix", "split_st"))
+    assert sites["mul_matrix"] == {("strands", "_ring_differential"),
+                                   ("betti", "poly_strand")}, sites["mul_matrix"]
+    assert sites["split_st"] == {("bipoly", "theta_matrix")}, sites["split_st"]
+
+
 def test_exactcore_functions_have_callers():
     # every public function of exactcore is named in another package module
     # or in scripts/, by a name, an attribute or an import
@@ -68,9 +89,10 @@ def test_exactcore_functions_have_callers():
 
 def test_module_imports_are_read():
     # every module-level import of a package module (but __init__, which
-    # re-exports) and of a script is read somewhere in its file
+    # re-exports), of a script and of a test module is read somewhere in its
+    # file
     paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    paths += (ROOT / "scripts").glob("*.py")
+    paths += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     unread = []
     for path, tree in _trees(paths):
         read = {node.id for node in ast.walk(tree)

@@ -11,11 +11,10 @@ from bigres.exactcore import GF, QQ
 from bigres.bipoly import BiPoly, SystemF, split_st
 from bigres.strands import h1_dim, phi_matrices
 from bigres.betti import betti_table, hb_kernel, verify_resolution
-from bigres.segre import (BasepointVerdict, ConicRedirect, FactorizedBasis,
-                          ImpossibleFactorization, basepoint_free, classify,
-                          conic_resolution, detect_conic, extract_factorization,
-                          lift_syzygy, pencil_expected_degrees, psi_image,
-                          quartic_value, square_strand_singular,
+from bigres.segre import (ConicRedirect, FactorizedBasis, ImpossibleFactorization,
+                          basepoint_free, classify, conic_resolution, detect_conic,
+                          extract_factorization, lift_syzygy, pencil_expected_degrees,
+                          psi_image, quartic_value, square_strand_singular,
                           three_point_resolution)
 from bigres.cli import load_system
 
