@@ -411,7 +411,7 @@ def build_parser():
     p.add_argument("--case", choices=("conic", "threepoint"), required=True)
     p.set_defaults(fn=cmd_resolve)
 
-    p = sub.add_parser("generic", help="full-rank sweep verdict")
+    p = sub.add_parser("generic", help="phi full-rank verdict on the box")
     p.add_argument("file")
     p.add_argument("--box")
     p.set_defaults(fn=cmd_generic)

@@ -9,8 +9,6 @@ two disagree exactly where the clamp bites.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .bipoly import strand_dim
 
 
@@ -54,57 +52,6 @@ def chi(d, a):
             - 3 * strand_dim((a1 - d1, a2 - d2))
             + 3 * strand_dim((a1 - 2 * d1, a2 - 2 * d2))
             - strand_dim((a1 - 3 * d1, a2 - 3 * d2)))
-
-
-def chi_sign(d, a):
-    c = chi(d, a)
-    return (c > 0) - (c < 0)
-
-
-def chi_region(d, a):
-    """Region tag plus the piecewise polynomial value, None on the gap.
-
-    The four published region predicates are tried in order A1..A4; they
-    leave {a1 >= 3d1, 2d2 <= a2 < 3d2} unmatched, tagged Gap.  chi() is
-    authoritative everywhere; the piecewise value is a cross-check.
-    """
-    d1, d2 = d
-    a1, a2 = a
-    if a1 < d1 or a2 < d2:
-        return "A1", (a1 + 1) * (a2 + 1)
-    if (d1 <= a1 < 2 * d1 and d2 <= a2) or (d1 <= a1 and d2 <= a2 < 2 * d2):
-        return "A2", (a1 + 1) * (a2 + 1) - 3 * (a1 - d1 + 1) * (a2 - d2 + 1)
-    if (2 * d1 <= a1 < 3 * d1 and 2 * d2 <= a2) or (a1 < 3 * d1 and 2 * d2 <= a2 < 3 * d2):
-        return "A3", ((a1 + 1) * (a2 + 1)
-                      - 3 * (a1 - d1 + 1) * (a2 - d2 + 1)
-                      + 3 * (a1 - 2 * d1 + 1) * (a2 - 2 * d2 + 1))
-    if a1 >= 3 * d1 and a2 >= 3 * d2:
-        return "A4", 0
-    return "Gap", None
-
-
-def series_coeffs(d, box):
-    """chi over [0,box1]x[0,box2] by truncated power series, plus chi_+ / chi_-.
-
-    Expands (1 - x^d1 y^d2)^3 * 1/(1-x)^2 * 1/(1-y)^2 by shift-and-add on a
-    dense coefficient array, independent of the chi() arithmetic.  Returns
-    three grids indexed [a1][a2].
-    """
-    d1, d2 = d
-    b1, b2 = box
-    if b1 < 0 or b2 < 0:
-        raise ValueError("box must be >= (0,0)")
-    base = np.outer(np.arange(1, b1 + 2, dtype=np.int64),
-                    np.arange(1, b2 + 2, dtype=np.int64))
-    acc = np.zeros_like(base)
-    for k, binom in ((0, 1), (1, -3), (2, 3), (3, -1)):
-        s1, s2 = k * d1, k * d2
-        if s1 <= b1 and s2 <= b2:
-            acc[s1:, s2:] += binom * base[:b1 + 1 - s1, :b2 + 1 - s2]
-    chi_grid = acc.tolist()
-    pos_grid = np.maximum(acc, 0).tolist()
-    neg_grid = np.maximum(-acc, 0).tolist()
-    return chi_grid, pos_grid, neg_grid
 
 
 def nd_grid(d, box):

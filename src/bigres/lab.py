@@ -135,7 +135,9 @@ def rs_check(sys, box):
 
     hf - chi_+ == dim H1 - n_d, so a deficit is a theorem violation and
     aborts.  Excesses are violations; those outside the critical ranges are
-    escalated (there the equality is proved, not conjectured).
+    escalated (there the equality is proved, not conjectured: phi1 and
+    phi2 have full rank there on a basepoint-free net, by the proof in
+    strands.is_generic).
     """
     d = sys.d
     crit = set(critical_ranges(d, box))

@@ -378,30 +378,53 @@ def check_box(d, box):
 
 
 def is_generic(sys, box=None):
-    """Full-rank sweep of phi1, phi2 over [0, box]; verdict is box-relative.
+    """Full-rank verdict of phi1, phi2 over [0, box]; it is box-relative.
 
     The default box (4d1, 4d2) covers the critical ranges; check_box rejects
-    any box that cannot.
+    any box that cannot.  Degrees are swept a1 outer, a2 inner, and the
+    first one where phi1 or phi2 drops rank is the witness.  On a net that
+    segre.basepoint_free calls Free, only critical_ranges(d, box) is swept,
+    in that same order; any other verdict (HasBasepoint, or Inconclusive
+    for d1 >= 2) sweeps the whole box.
+
+    Why the critical ranges suffice on a basepoint-free net:
+    - A phi with an empty source or an empty target has full rank.  phi1
+      maps st-degree a1 - 3d1, uv-order 3d2 - a2 - 2 to st-degree a1 - 2d1,
+      uv-order 2d2 - a2 - 2, so both are nonempty iff a1 >= 3d1 and
+      a2 <= 2d2 - 2.  Outside the critical strip that leaves a1 >= 3d1,
+      a2 <= d2 - 1.
+    - There every Koszul spot a - deg S with S nonempty has second
+      coordinate a2 - |S| d2 < 0, so the degree-a strand of the Koszul
+      complex on f0, f1, f2 is R_a alone, and H1_a = 0.
+    - On a basepoint-free net, H1_a = ker phi1 (+) ker phi2.  phi1 and phi2
+      are the last Koszul map on the local cohomology H^2 of R at <u,v>
+      and at <s,t>; the paper (Botbol, Dickenstein and Schenck,
+      arXiv:2011.02974) reads H1 off them through the spectral sequence of
+      the Koszul complex against the Cech complex of B = <s,t> cap <u,v>,
+      where basepoint-freeness makes the Koszul homology B-torsion.  h1_dim
+      stands on this model, and tests/test_strands.py checks it against
+      the Koszul strands.
+    - So ker phi1 = 0 there: phi1 is injective, hence of full rank, and
+      phi2 is empty.  The mirror case (a2 >= 3d2, a1 <= d1 - 1) is the same
+      with the roles of phi1 and phi2 swapped.
+    Every rank drop therefore lies in the critical list, which keeps the
+    sweep order, so its first drop is the witness of the whole box.  With
+    a basepoint H1 has no such model and drops outside the strips do occur
+    (the tests hold a (1,2) net over GF(32003) with witness (3, 0)).
     """
     d1, d2 = sys.d
     if box is None:
         box = (4 * d1, 4 * d2)
     check_box(sys.d, box)
-    for a1 in range(box[0] + 1):
-        for a2 in range(box[1] + 1):
-            if not all(k.full_rank for k in _phi_kernels(sys, (a1, a2))):
-                return GenericityVerdict(False, tuple(box), (a1, a2))
+    # segre imports this module at load time, so its basepoint test is
+    # imported here, at call time, to break the cycle
+    from .segre import basepoint_free
+    if basepoint_free(sys).kind == "Free":
+        degrees = critical_ranges(sys.d, box)
+    else:
+        degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]
+    for a in degrees:
+        if not all(k.full_rank for k in _phi_kernels(sys, a)):
+            return GenericityVerdict(False, tuple(box), a)
     return GenericityVerdict(True, tuple(box), None)
 
-
-def h1_support_box(d, box):
-    """Bidegrees <= box where H1 can be nonzero; it vanishes outside the
-    two strips (a1 <= 3d1-2, a2 >= 3d2) and (a1 >= 3d1, a2 <= 3d2-2)."""
-    d1, d2 = d
-    out = []
-    for a1 in range(box[0] + 1):
-        for a2 in range(box[1] + 1):
-            if (a1 <= 3 * d1 - 2 and a2 >= 3 * d2) or \
-               (a1 >= 3 * d1 and a2 <= 3 * d2 - 2):
-                out.append((a1, a2))
-    return out

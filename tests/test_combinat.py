@@ -6,10 +6,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from bigres.combinat import (chi, chi_region, chi_sign, cod, dom, nd, nd_grid,
-                             nd_signed, neg_part, pos_part, render_grid,
-                             series_coeffs)
-from helpers import data_path
+from bigres.combinat import (chi, cod, dom, nd, nd_grid, nd_signed, neg_part, pos_part,
+                             render_grid)
+from helpers import chi_region, chi_sign, data_path, series_coeffs
 
 ds = st.tuples(st.integers(1, 3), st.integers(1, 3))
 

@@ -1,6 +1,7 @@
 """Strand-level homology: two independent routes must agree degree by degree."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -10,15 +11,16 @@ import pytest
 from bigres.exactcore import GF, QQ, ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
 from bigres.bipoly import BiPoly, SystemF, mul_matrix, strand_dim
 from bigres.combinat import chi, cod, dom, nd
-from bigres import strands
+from bigres import segre, strands
+from bigres.segre import BasepointVerdict, basepoint_free
 from bigres.strands import (VAR_DEGREES, _h1_action, _inverse_block, _koszul_differential,
                             _koszul_spots, _phi_kernels, _phi_sources, _quotient_action,
                             _quotient_kernel, _ring_differential, critical_ranges, h1_dim,
-                            h1_support_box, hf_quotient, is_generic, koszul_strand_homology,
-                            phi_matrices)
+                            hf_quotient, is_generic, koszul_strand_homology, phi_matrices)
 from bigres.cli import load_system
-from helpers import (data_path, dense_quotient_kernel, inverse_block_oracle, mat_hstack,
-                     mat_vstack, mod_p, random_bpf_system, random_form, random_system)
+from helpers import (data_path, dense_quotient_kernel, full_box_generic, h1_support_box,
+                     inverse_block_oracle, mat_hstack, mat_vstack, mod_p, random_bpf_system,
+                     random_form, random_system)
 
 FLD = GF()
 
@@ -244,14 +246,45 @@ def test_store_matches_direct_eliminations(d, fld):
             assert hf_quotient(sys_, a) == dims[0] - ranks[1]
             phis = phi_matrices(sys_, a)
             assert h1_dim(sys_, a) == sum(p.cols - mat_rank(p) for p in phis)
-    witness = None
-    for a1 in range(4 * d1 + 1):
-        for a2 in range(4 * d2 + 1):
-            if witness is None and any(mat_rank(p) != min(p.rows, p.cols)
-                                       for p in phi_matrices(sys_, (a1, a2))):
-                witness = (a1, a2)
-    verdict = is_generic(sys_)
-    assert (verdict.generic, verdict.witness) == (witness is None, witness)
+    assert is_generic(sys_) == full_box_generic(sys_)
+
+
+@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("d", [(1, 1), (1, 2), (1, 3), (1, 5), (2, 2)])
+def test_is_generic_matches_full_box_oracle(d, fld):
+    # on a basepoint-free net is_generic sweeps only the critical ranges;
+    # its verdict and witness must be those of the full sweep of fresh ranks
+    sys_ = random_bpf_system(fld, d, random.Random(70 * d[0] + d[1]))
+    assert basepoint_free(sys_).kind == "Free"
+    assert is_generic(sys_) == full_box_generic(sys_)
+
+
+@pytest.mark.parametrize("name", ["sys_bp.json", "sys_conic12.json", "sys_maps6.json"])
+def test_is_generic_matches_full_box_oracle_on_data(name):
+    sys_ = load_system(data_path(name))
+    assert is_generic(sys_) == full_box_generic(sys_)
+
+
+@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+def test_is_generic_matches_full_box_oracle_on_sparse_nets(fld):
+    # sparse nets drop rank often, with and without basepoints, and for
+    # d1 >= 2 the basepoint test may be inconclusive; whatever the branch,
+    # the verdict and witness are the full sweep's
+    rng = random.Random(71)
+    seen = Counter()
+    for d in [(1, 2), (1, 3), (2, 2)]:
+        for _ in range(16):
+            vecs = [[fld.rand(rng) if rng.random() < 0.4 else 0
+                     for _ in range(strand_dim(d))] for _ in range(3)]
+            try:
+                sys_ = SystemF(fld, d, [BiPoly.from_vector(fld, d, v) for v in vecs])
+            except ValueError:
+                continue
+            want = full_box_generic(sys_)
+            assert is_generic(sys_) == want, (d, vecs)
+            seen[basepoint_free(sys_).kind == "Free", want.generic] += 1
+    # both branches met a rank drop
+    assert seen[True, False] and seen[False, False], seen
 
 
 def test_h1_vanishes_outside_support_region():
@@ -294,6 +327,29 @@ def test_maps6_h1_and_genericity():
     assert not verdict.generic
     assert verdict.witness == (3, 6)
     assert str(verdict) == "NotGeneric(witness (3, 6))"
+
+
+def _net_1_2(vecs):
+    fld = GF(32003)
+    return SystemF(fld, (1, 2), [BiPoly.from_vector(fld, (1, 2), v) for v in vecs])
+
+
+@pytest.mark.parametrize("vecs, witness", [
+    ([[0, 0, 13014, 0, 7376, 0], [0, 0, 0, 0, 0, 717], [0, 19418, 0, 0, 0, 1706]], (3, 0)),
+    ([[0, 16752, 0, 0, 0, 0], [23311, 5469, 0, 0, 0, 0], [0, 0, 5621, 0, 0, 0]], (0, 6)),
+], ids=["strip", "mirror"])
+def test_is_generic_sweeps_the_box_on_nets_with_basepoints(vecs, witness, monkeypatch):
+    # phi drops rank outside the critical ranges only on a net with a
+    # basepoint; a sweep of the critical ranges alone would miss this first
+    # drop, so only the Free guard keeps the witness
+    sys_ = _net_1_2(vecs)
+    assert basepoint_free(sys_).kind == "HasBasepoint"
+    verdict = is_generic(sys_)
+    assert str(verdict) == f"NotGeneric(witness {witness})"
+    assert verdict == full_box_generic(sys_)
+    assert witness not in critical_ranges((1, 2), verdict.box)
+    monkeypatch.setattr(segre, "basepoint_free", lambda _: BasepointVerdict("Free"))
+    assert is_generic(_net_1_2(vecs)).witness != witness
 
 
 def test_random_systems_are_generic():
