@@ -39,23 +39,33 @@ from functools import partial
 
 from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
 from .bipoly import BiPoly, gcd_binary, mul_matrix, strand_dim, theta_matrix
-from .strands import (VAR_DEGREES, _h1_action, _koszul_differential, _koszul_spots,
-                      _quotient_action, h1_dim, hf_quotient)
+from . import strands
+from .strands import (VAR_DEGREES, _h1_action, _koszul_spots, _quotient_action, h1_dim,
+                      hf_quotient)
 
 
 # --------------------------------------------------------------- Betti tables
 
-def _koszul_module_homology(field, a, dim, action):
+def _koszul_module_homology(field, a, dim, action, rank1=None):
     """Homology dims (H_0..H_4) at degree a of the variable Koszul complex
     on a module with strand dims dim(b) and actions action(b, xi) of the
     variables; strands._koszul_differential builds each differential.  Each
-    spot degree's dim is read once."""
+    spot degree's dim is read once.  Nothing proved zero is built:
+    - (D) a differential whose source or target is empty is the zero map,
+      of rank 0, so it is not built;
+    - (A) hence, if every spot dim is 0, nothing is built and the homology
+      is (0,0,0,0,0): every term of the complex is 0.  This holds for any
+      module, R/I and H1 alike;
+    - (C) rank1, when given, is the rank of d_1, proved by the caller.
+    """
     spots = [_koszul_spots(VAR_DEGREES, a, j) for j in range(5)]
     dim_at = {b: dim(b) for group in spots for _, b in group}
-    ranks = [0] + [mat_rank(_koszul_differential(field, VAR_DEGREES, a, j,
-                                                 dim_at.__getitem__, action))
-                   for j in range(1, 5)] + [0]
     dims = [sum(dim_at[b] for _, b in group) for group in spots]
+    ranks = [0] + [rank1 if j == 1 and rank1 is not None
+                   else 0 if not (dims[j - 1] and dims[j])
+                   else mat_rank(strands._koszul_differential(field, VAR_DEGREES, a, j,
+                                                              dim_at.__getitem__, action))
+                   for j in range(1, 5)] + [0]
     return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(5))
 
 
@@ -106,7 +116,16 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
 
     Quotient homology is computed for homological indices 0..4 and shifted
     down by one for IdealConvention.  Non-basepoint-free input only sets the
-    warning flag; the table itself stays well-defined.
+    warning flag; the table itself stays well-defined.  Two values are
+    proved, with or without basepoints, and not built:
+    - (B) Tor of R/I is 0 at a != (0,0) with a1 < d1 or a2 < d2.  Every spot
+      b <= a has I_b = 0, so the strand is the degree-a strand of the Koszul
+      complex of R on s,t,u,v, a resolution of k = R/(s,t,u,v) (Eisenbud,
+      The Geometry of Syzygies, ch. 1), exact away from degree 0.
+    - (C) rank d_1 = hf(a) - [a = (0,0)].  The image of d_1 is (m R/I)_a,
+      with m = (s,t,u,v); R/I is cyclic, generated by 1 in degree (0,0)
+      (d >= (1,1), so hf(0,0) = 1), so (m R/I)_a is all of (R/I)_a at
+      a != (0,0) and 0 at (0,0).
     """
     if convention not in ("IdealConvention", "QuotientConvention"):
         raise ValueError("unknown convention")
@@ -118,7 +137,10 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
     dim, action = partial(hf_quotient, sys), partial(_quotient_action, sys)
     entries = {}
     for a in degrees:
-        for j, h in enumerate(_koszul_module_homology(sys.field, a, dim, action)):
+        if a != (0, 0) and (a[0] < sys.d[0] or a[1] < sys.d[1]):
+            continue
+        rank1 = hf_quotient(sys, a) - (a == (0, 0))
+        for j, h in enumerate(_koszul_module_homology(sys.field, a, dim, action, rank1)):
             if h:
                 entries[(j, a)] = h
     if convention == "IdealConvention":

@@ -18,10 +18,12 @@ store owns every elimination and every module action: the quotient record,
 the phi pair, the higher Koszul ranks and the R/I and H1 actions of each
 variable at a degree are each computed once per system, and hf_quotient,
 h1_dim, koszul_strand_homology, is_generic and the Koszul complexes on R/I
-and H1 in betti all read the same records.  The quotient and the phi pair
-keep one kind of record, kernel_data: for the quotient it is the kernel of
-the transposed generator strand d_1^T, the inverse system V_b = (I_b)^perp
-of I at that degree, whose free monomials span R/I there.
+and H1 in betti all read the same records.  One record depends on no
+degree: the segre.basepoint_free verdict, read by is_generic and by the lab
+draws.  The quotient and the phi pair keep one kind of record, kernel_data:
+for the quotient it is the kernel of the transposed generator strand d_1^T,
+the inverse system V_b = (I_b)^perp of I at that degree, whose free
+monomials span R/I there.
 
 That record is not eliminated from d_1^T, a matrix of dim R_b x 3 dim
 R_(b-d).  _quotient_kernel builds V_b from V_(b-e) and V_(b-2e), e = (1,0)
@@ -165,6 +167,19 @@ def _per_system(build):
             recs[key] = build(sys, a, *rest)
         return recs[key]
     return record
+
+
+def _basepoint_verdict(sys):
+    """segre.basepoint_free(sys), kept as one record in the store of sys and
+    computed only there.  The verdict holds field elements and a gcd form,
+    never sys itself."""
+    recs = _store.setdefault(sys, {})
+    if ("basepoint_free",) not in recs:
+        # segre imports this module at load time, so it is imported here, at
+        # call time, to break the cycle
+        from . import segre
+        recs[("basepoint_free",)] = segre.basepoint_free(sys)
+    return recs[("basepoint_free",)]
 
 
 def _quotient_kernel(sys, b):
@@ -416,10 +431,7 @@ def is_generic(sys, box=None):
     if box is None:
         box = (4 * d1, 4 * d2)
     check_box(sys.d, box)
-    # segre imports this module at load time, so its basepoint test is
-    # imported here, at call time, to break the cycle
-    from .segre import basepoint_free
-    if basepoint_free(sys).kind == "Free":
+    if _basepoint_verdict(sys).kind == "Free":
         degrees = critical_ranges(sys.d, box)
     else:
         degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]

@@ -3,15 +3,18 @@
 import json
 import os
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from bigres.exactcore import ExactMatrix, kernel_data, mat_rank
 from bigres.bipoly import BiPoly, SystemF, strand_basis
 from bigres.combinat import chi
+from bigres.betti import BettiTable
 from bigres.segre import basepoint_free
-from bigres.strands import (GenericityVerdict, InverseStrandBasis, _ring_differential,
-                            check_box, phi_matrices)
+from bigres.strands import (VAR_DEGREES, GenericityVerdict, InverseStrandBasis,
+                            _koszul_differential, _koszul_spots, _quotient_action,
+                            _ring_differential, check_box, hf_quotient, phi_matrices)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -128,6 +131,35 @@ def full_box_generic(sys_, box=None):
                    for p in phi_matrices(sys_, (a1, a2))):
                 return GenericityVerdict(False, box, (a1, a2))
     return GenericityVerdict(True, box, None)
+
+
+def full_module_homology(field, a, dim, action, rank1=None):
+    """Homology dims (H_0..H_4) at degree a of the variable Koszul complex
+    on a module, by building and eliminating every d_j, empty or not: the
+    reference for betti._koszul_module_homology, which builds nothing it
+    can prove zero.  rank1 is accepted and ignored, so the oracle can stand
+    in for that routine."""
+    spots = [_koszul_spots(VAR_DEGREES, a, j) for j in range(5)]
+    dims = [sum(dim(b) for _, b in group) for group in spots]
+    ranks = [0] + [mat_rank(_koszul_differential(field, VAR_DEGREES, a, j, dim, action))
+                   for j in range(1, 5)] + [0]
+    return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(5))
+
+
+def full_betti_table(sys_, degrees, convention="IdealConvention"):
+    """The Betti table by full_module_homology at every degree, and the
+    basepoint warning by a dense elimination at 3d: the reference for
+    betti.betti_table, which skips degrees where Tor is proved zero."""
+    dim, action = partial(hf_quotient, sys_), partial(_quotient_action, sys_)
+    entries = {}
+    for a in sorted(set(map(tuple, degrees))):
+        for j, h in enumerate(full_module_homology(sys_.field, a, dim, action)):
+            if h:
+                entries[(j, a)] = h
+    if convention == "IdealConvention":
+        entries = {(j - 1, a): m for (j, a), m in entries.items() if j >= 1}
+    three_d = (3 * sys_.d[0], 3 * sys_.d[1])
+    return BettiTable(convention, entries, bool(dense_quotient_kernel(sys_, three_d)[1]))
 
 
 def h1_support_box(d, box):

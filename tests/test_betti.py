@@ -4,6 +4,7 @@ import copy
 import gc
 import random
 import weakref
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,11 +16,13 @@ from bigres.betti import (BettiTable, ResolutionComplex,
                           mcomplex_dims, mcomplex_sums, nonkoszul_beta1,
                           poly_mat_is_zero, poly_mat_mul, prop32_matrices,
                           route_equality_report, syz3star, verify_resolution)
-from bigres import strands
+from bigres import betti, strands
 from bigres.segre import conic_resolution, detect_conic
-from bigres.strands import h1_dim, hf_quotient, is_generic, koszul_strand_homology
+from bigres.strands import (VAR_DEGREES, _h1_action, _koszul_spots, h1_dim, hf_quotient,
+                            is_generic, koszul_strand_homology)
 from bigres.cli import load_system
-from helpers import data_path, load_json, random_bpf_system, random_form
+from helpers import (data_path, full_betti_table, full_module_homology, load_json,
+                     random_bpf_system, random_form)
 
 FLD = GF()
 
@@ -182,6 +185,93 @@ def test_repeated_queries_build_no_action(monkeypatch):
         assert len(builds) == built
     assert {name for name, *_ in builds} == {"_quotient_action", "_h1_action"}
     assert len(set(builds)) == len(builds)
+
+
+def _outcome(query):
+    # a value, or the error it raised, so that two routes compare on both
+    try:
+        return query()
+    except (ArithmeticError, ValueError) as exc:
+        return repr(exc)
+
+
+def _assert_matches_full_oracle(sys_, box, monkeypatch):
+    # betti_table (both conventions, warning flag included), mcomplex_dims,
+    # mcomplex_sums and route_equality_report against the same queries with
+    # every Koszul differential built and eliminated
+    degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]
+    for conv in ("IdealConvention", "QuotientConvention"):
+        got = betti_table(sys_, box=box, convention=conv)
+        want = full_betti_table(sys_, degrees, conv)
+        assert (got.to_json(), got.warning) == (want.to_json(), want.warning), conv
+    dim, action = partial(h1_dim, sys_), partial(_h1_action, sys_)
+    for a in degrees:
+        want = full_module_homology(sys_.field, a, dim, action)
+        if want[3] or want[4]:
+            with pytest.raises(ArithmeticError, match="tail"):
+                mcomplex_dims(sys_, a)
+        else:
+            assert mcomplex_dims(sys_, a) == want, a
+    got = (_outcome(lambda: mcomplex_sums(sys_, box)),
+           _outcome(lambda: route_equality_report(sys_, degrees)))
+    monkeypatch.setattr(betti, "_koszul_module_homology", full_module_homology)
+    monkeypatch.setattr(betti, "betti_table", full_betti_table)
+    assert got == (_outcome(lambda: mcomplex_sums(sys_, box)),
+                   _outcome(lambda: route_equality_report(sys_, degrees)))
+    return got
+
+
+@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("d", [(1, 1), (1, 2), (1, 3), (1, 5), (2, 2)])
+def test_homology_matches_full_oracle(d, fld, monkeypatch):
+    # the box holds (0,0) and crosses both edges a1 = d1, a2 = d2 of the
+    # region where Tor of R/I is proved zero
+    sys_ = random_bpf_system(fld, d, random.Random(90 + 10 * d[0] + d[1]))
+    box = (3 * d[0] + 3, 3 * d[1] + 3) if fld.is_prime_field else (2 * d[0] + 1, 2 * d[1] + 1)
+    rows = _assert_matches_full_oracle(sys_, box, monkeypatch)[1]
+    assert rows and all(r["gen_match"] for r in rows)
+
+
+@pytest.mark.parametrize("name", ["sys_bp.json", "sys_conic12.json", "sys_maps6.json"])
+def test_homology_matches_full_oracle_on_data(name, monkeypatch):
+    sys_ = load_system(data_path(name))
+    d = sys_.d
+    _assert_matches_full_oracle(sys_, (3 * d[0] + 3, 3 * d[1] + 3), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["sys_bp.json", "sys_conic12.json"])
+def test_proved_zero_differentials_are_not_built(name, monkeypatch):
+    # betti_table builds no Koszul differential where Tor of R/I is proved
+    # zero (a != (0,0), a1 < d1 or a2 < d2) and never d_1 on R/I; neither
+    # module builds a differential with an empty side, so nothing is built
+    # where every spot is empty
+    built = []
+    koszul_differential = strands._koszul_differential
+
+    def recording(field, degs, a, j, dim, action):
+        if degs == VAR_DEGREES:
+            sides = [sum(dim(b) for _, b in _koszul_spots(degs, a, i)) for i in (j - 1, j)]
+            module = "R/I" if action.func is strands._quotient_action else "H1"
+            built.append((module, a, j, *sides))
+        return koszul_differential(field, degs, a, j, dim, action)
+
+    monkeypatch.setattr(strands, "_koszul_differential", recording)
+    sys_ = load_system(data_path(name))
+    d = sys_.d
+    box = (3 * d[0] + 3, 3 * d[1] + 3)
+    degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]
+    betti_table(sys_, box=box)
+    for a in degrees:
+        _outcome(lambda: mcomplex_dims(sys_, a))
+    dims = {"R/I": partial(hf_quotient, sys_), "H1": partial(h1_dim, sys_)}
+    assert {module for module, *_ in built} == set(dims)
+    for module, a, j, rows, cols in built:
+        assert rows and cols, (module, a, j)
+        assert any(dims[module](b)
+                   for i in range(5) for _, b in _koszul_spots(VAR_DEGREES, a, i))
+        if module == "R/I":
+            assert j > 1, a
+            assert a == (0, 0) or (a[0] >= d[0] and a[1] >= d[1]), a
 
 
 @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 1)])

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import pytest
 
-from bigres import lab
-from bigres.exactcore import GF
+from bigres import lab, segre
+from bigres.exactcore import GF, QQ
 from bigres.bipoly import BiPoly, SystemF
 from bigres.lab import (ExperimentConfig, generic_report, probe_system, rs_check,
                         sample_system)
@@ -61,6 +62,25 @@ def test_report_json_bitwise_deterministic():
     payload = json.loads(one)
     assert payload["bettiHistogram"] == {"1,3": 3, "3,1": 3}
     assert payload["genericCount"] == 3
+
+
+@pytest.mark.parametrize("field", [FLD, QQ], ids=["GF", "QQ"])
+def test_one_trial_runs_the_basepoint_test_once(field, monkeypatch):
+    # the draw and is_generic read one stored verdict per system; every
+    # binding of the basepoint test in the package is counted
+    calls = []
+    basepoint_free = segre.basepoint_free
+
+    def counting(sys_):
+        calls.append(sys_)
+        return basepoint_free(sys_)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bigres.") and getattr(mod, "basepoint_free", None) is basepoint_free:
+            monkeypatch.setattr(mod, "basepoint_free", counting)
+    rep = generic_report(ExperimentConfig((1, 3), seed=1, trials=1, field=field))
+    assert rep.basepoint_rejections == 0 and rep.generic_count == 1
+    assert len(calls) == 1
 
 
 def test_rs_check_maps6_inside_critical():

@@ -48,13 +48,16 @@ def test_mat_from_blocks_is_the_only_assembler():
 
 
 def _named_in(paths, names):
-    # {name: {(module, enclosing top-level function)}} for every read of a name
+    # {name: {(module, enclosing top-level function)}} for every read of a
+    # name, bare or as a module attribute
     sites = {name: set() for name in names}
     for path, tree in _trees(paths):
         for top in tree.body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id in sites:
-                    sites[node.id].add((path.stem, getattr(top, "name", None)))
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name in sites:
+                    sites[name].add((path.stem, getattr(top, "name", None)))
     return sites
 
 
@@ -66,6 +69,14 @@ def test_polynomial_matrix_kernel_is_the_only_route():
     assert sites["mul_matrix"] == {("strands", "_ring_differential"),
                                    ("betti", "poly_strand")}, sites["mul_matrix"]
     assert sites["split_st"] == {("bipoly", "theta_matrix")}, sites["split_st"]
+
+
+def test_koszul_homology_has_one_loop():
+    # Koszul differentials are built only by the ring complex and by the one
+    # module-homology routine, which skips every one that is proved zero
+    paths = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    assert _named_in(paths, ("_koszul_differential",))["_koszul_differential"] == {
+        ("betti", "_koszul_module_homology"), ("strands", "_ring_differential")}
 
 
 def test_exactcore_functions_have_callers():
