@@ -126,6 +126,8 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
       with m = (s,t,u,v); R/I is cyclic, generated by 1 in degree (0,0)
       (d >= (1,1), so hf(0,0) = 1), so (m R/I)_a is all of (R/I)_a at
       a != (0,0) and 0 at (0,0).
+    Over Q each degree is read from the image where _image_tor proves it,
+    and computed over Q where it does not.
     """
     if convention not in ("IdealConvention", "QuotientConvention"):
         raise ValueError("unknown convention")
@@ -134,19 +136,55 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
             raise ValueError("need box or degrees")
         degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]
     degrees = sorted(set(map(tuple, degrees)))
-    dim, action = partial(hf_quotient, sys), partial(_quotient_action, sys)
     entries = {}
     for a in degrees:
         if a != (0, 0) and (a[0] < sys.d[0] or a[1] < sys.d[1]):
             continue
-        rank1 = hf_quotient(sys, a) - (a == (0, 0))
-        for j, h in enumerate(_koszul_module_homology(sys.field, a, dim, action, rank1)):
+        hom = None if sys.field.is_prime_field else _image_tor(sys, a)
+        for j, h in enumerate(_tor(sys, a) if hom is None else hom):
             if h:
                 entries[(j, a)] = h
     if convention == "IdealConvention":
         entries = {(j - 1, a): m for (j, a), m in entries.items() if j >= 1}
     warning = hf_quotient(sys, (3 * sys.d[0], 3 * sys.d[1])) != 0
     return BettiTable(convention, entries, warning)
+
+
+def _tor(sys, a):
+    """Homology dims (H_0..H_4) of the variable Koszul complex on R/I at a,
+    with rank d_1 given by rule C of betti_table."""
+    return _koszul_module_homology(sys.field, a, partial(hf_quotient, sys),
+                                   partial(_quotient_action, sys),
+                                   hf_quotient(sys, a) - (a == (0, 0)))
+
+
+def _image_tor(sys, a):
+    """_tor of the Q system sys at a, read from its image where a proof
+    makes the two equal; None where none does.
+
+    Let A = Z_(p)[s,t,u,v]/I, with I generated by the p-integral forms of
+    sys.  Each A_b is a finitely generated Z_(p)-module with A_b (x) Q =
+    (R/I)_b over Q and A_b (x) GF(p) = (R/I)_b of the image, so it is free
+    exactly when hf over Q and mod p agree at b.  Suppose hf is certified
+    (strands._hf_certified) at every spot a - deg S of the strand; spots
+    with a negative coordinate hold 0.  Then the degree-a strand K of the
+    Koszul complex on s,t,u,v over A is a complex of free Z_(p)-modules,
+    and the universal coefficient theorem gives
+        beta_i mod p = beta_i over Q + t_i + t_(i-1),
+    with t_i the number of torsion summands of H_i(K).  So beta over Q is
+    at most beta mod p, and every drop comes in two consecutive indices
+    (Peeva, "Consecutive cancellations in Betti numbers", Proc. AMS 2004):
+    t_i > 0 makes beta_i and beta_(i+1) mod p both nonzero.  If the nonzero
+    homology of the image at a sits at indices of one parity, no two
+    consecutive ones are, so every t_i is 0 and the image's values are
+    those over Q.  Otherwise the degree is computed over Q.
+    """
+    img = strands._image(sys)
+    if img is None or not all(strands._hf_certified(sys, b) for j in range(5)
+                              for _, b in _koszul_spots(VAR_DEGREES, a, j)):
+        return None
+    hom = _tor(img, a)
+    return hom if len({j % 2 for j, h in enumerate(hom) if h}) <= 1 else None
 
 
 def nonkoszul_beta1(table, d):

@@ -14,7 +14,8 @@ and reduced echelon forms bit-reproducible:
   with delayed reduction, exact as long as every entry stays below 2^51;
   FieldSpec admits only the p for which one panel of updates does.
 * Q: _rref_rational lifts the RREF from _rref_prime modulo several primes
-  and returns it only once an exact integer check proves it.
+  and returns it only once an exact integer check proves it.  lift_primes
+  is the one order of those primes, which strands._image reads too.
 """
 
 from __future__ import annotations
@@ -390,6 +391,12 @@ def _unitri_inverse(S, red):
 
 # -------------------------------------------------------------------- Q RREF
 
+def lift_primes():
+    """The primes that carry exact answers over Q, largest first: every
+    prime from 8388593, the largest that GF admits, down to 5."""
+    return filter(_is_prime, range(8388593, 3, -2))
+
+
 _RATIO = np.frompyfunc(Fraction.as_integer_ratio, 1, 2)
 
 
@@ -423,7 +430,7 @@ def _rref_rational(a):
 
     * Each row is scaled to integers once, by the lcm of its denominators;
       that keeps rank, kernel and row space.  The integer matrix A is then
-      eliminated modulo primes counting down from 8388593.
+      eliminated modulo the primes of lift_primes, in that order.
     * Modulo p the rank is at most the rank over Q, and at equal rank the
       pivots are lexicographically at least the Q pivots.  So a prime with
       more pivots, or as many coming earlier, restarts the lift; a prime
@@ -438,7 +445,7 @@ def _rref_rational(a):
     m, n = a.shape
     A = _integral(a)[0]
     best = None
-    for p in filter(_is_prime, range(8388593, 3, -2)):
+    for p in lift_primes():
         R, piv = _rref_prime((A % p).astype(np.int64), p)
         if best is None or (len(piv), best) > (len(best), piv):
             best, free, M, tried = piv, _free_columns(n, piv), 1, 0

@@ -18,9 +18,17 @@ store owns every elimination and every module action: the quotient record,
 the phi pair, the higher Koszul ranks and the R/I and H1 actions of each
 variable at a degree are each computed once per system, and hf_quotient,
 h1_dim, koszul_strand_homology, is_generic and the Koszul complexes on R/I
-and H1 in betti all read the same records.  One record depends on no
+and H1 in betti all read the same records.  Two records depend on no
 degree: the segre.basepoint_free verdict, read by is_generic and by the lab
-draws.  The quotient and the phi pair keep one kind of record, kernel_data:
+draws, and, for a system over Q, its image _image, the reduction mod the
+first prime of exactcore.lift_primes that divides no denominator and keeps
+the three forms independent.  Over Q, _basepoint_verdict, is_generic,
+h1_dim and hf_quotient return the value of the image wherever a proof
+makes it the value over Q (the proofs are in their docstrings and in those
+of _h1_certified and _hf_certified), and compute over Q wherever none
+does, degree by degree; betti.betti_table reads Tor the same way.  A
+system over GF(p) never asks for an image.  The quotient and the phi pair
+keep one kind of record, kernel_data:
 for the quotient it is the kernel of the transposed generator strand d_1^T,
 the inverse system V_b = (I_b)^perp of I at that degree, whose free
 monomials span R/I there.
@@ -40,12 +48,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
-from .bipoly import BiPoly, _product, _term_rows, mul_matrix, strand_dim
+from .exactcore import (GF, ExactMatrix, kernel_data, lift_primes, mat_from_blocks, mat_mul,
+                        mat_rank, rref)
+from .bipoly import BiPoly, SystemF, _product, _term_rows, mul_matrix, strand_dim
 
 
 @dataclass(frozen=True)
@@ -75,12 +85,15 @@ def _inverse_block(f, src: InverseStrandBasis):
     return ExactMatrix(f.field, _product(f, (src.st_deg, src.uv_order), sign))
 
 
-def _phi_sources(d, a):
-    """Source bases of phi1 and phi2 at bidegree a."""
+def _phi_spaces(d, a):
+    """(source, target) bases of phi1 and of phi2 at bidegree a; each phi
+    maps its source to three stacked copies of its target."""
     d1, d2 = d
     a1, a2 = a
-    return (InverseStrandBasis(a1 - 3 * d1, 3 * d2 - a2 - 2),
-            InverseStrandBasis(3 * d1 - a1 - 2, a2 - 3 * d2, flipped=True))
+    return ((InverseStrandBasis(a1 - 3 * d1, 3 * d2 - a2 - 2),
+             InverseStrandBasis(a1 - 2 * d1, 2 * d2 - a2 - 2)),
+            (InverseStrandBasis(3 * d1 - a1 - 2, a2 - 3 * d2, flipped=True),
+             InverseStrandBasis(2 * d1 - a1 - 2, a2 - 2 * d2, flipped=True)))
 
 
 def phi_matrices(sys, a):
@@ -90,15 +103,16 @@ def phi_matrices(sys, a):
     powers of order 3d2-a2-2; phi2 mirrors the two factors.  Empty strands
     give 0xk matrices, which count as full rank.
     """
-    d1, d2 = sys.d
-    a1, a2 = a
-    src1, src2 = _phi_sources(sys.d, a)
-    tgt1 = InverseStrandBasis(a1 - 2 * d1, 2 * d2 - a2 - 2)
-    tgt2 = InverseStrandBasis(2 * d1 - a1 - 2, a2 - 2 * d2, flipped=True)
     return tuple(mat_from_blocks(sys.field, [tgt.dim] * 3, [src.dim],
                                  {(k, 0): _inverse_block(f, src).data
                                   for k, f in enumerate(sys.polys)})
-                 for src, tgt in ((src1, tgt1), (src2, tgt2)))
+                 for src, tgt in _phi_spaces(sys.d, a))
+
+
+def _full_rank_h1(d, a):
+    """h1 at a when phi1 and phi2 both have full rank: each kernel then has
+    dim cols - min(rows, cols)."""
+    return sum(max(src.dim - 3 * tgt.dim, 0) for src, tgt in _phi_spaces(d, a))
 
 
 # ------------------------------------------------------------ Koszul strands
@@ -169,17 +183,43 @@ def _per_system(build):
     return record
 
 
+def _per_system_once(build):
+    """Memoize build(sys) in the store of sys: one record per system, under
+    the rules of _per_system."""
+    def record(sys):
+        recs = _store.setdefault(sys, {})
+        if (build.__name__,) not in recs:
+            recs[(build.__name__,)] = build(sys)
+        return recs[(build.__name__,)]
+    return record
+
+
+@_per_system_once
 def _basepoint_verdict(sys):
     """segre.basepoint_free(sys), kept as one record in the store of sys and
     computed only there.  The verdict holds field elements and a gcd form,
-    never sys itself."""
-    recs = _store.setdefault(sys, {})
-    if ("basepoint_free",) not in recs:
-        # segre imports this module at load time, so it is imported here, at
-        # call time, to break the cycle
-        from . import segre
-        recs[("basepoint_free",)] = segre.basepoint_free(sys)
-    return recs[("basepoint_free",)]
+    never sys itself.
+
+    Over Q a Free verdict of the image is the verdict of sys, and nothing
+    over Q is computed.  A basepoint of sys over the algebraic closure of Q
+    reduces to a basepoint of the image: scale its coordinates on each P1
+    factor to be integral over Z_(p), with one of them a unit, and reduce
+    them mod a prime over p; the forms are p-integral, so their reductions
+    vanish there.  So an image without basepoints proves that sys has none,
+    and basepoint_free is exact for d1 = 1.  For d1 >= 2 its Free verdict
+    is hf(3d) = 0, and hf over Q is at most hf mod p (rank mod p is at most
+    rank over Q).  A Free verdict carries no field data, so the two records
+    are equal.  Any other verdict of the image proves nothing, and sys is
+    tested over Q.
+    """
+    if not sys.field.is_prime_field:
+        img = _image(sys)
+        if img is not None and _basepoint_verdict(img).kind == "Free":
+            return _basepoint_verdict(img)
+    # segre imports this module at load time, so it is imported here, at
+    # call time, to break the cycle
+    from . import segre
+    return segre.basepoint_free(sys)
 
 
 def _quotient_kernel(sys, b):
@@ -301,7 +341,7 @@ class _PhiKernel:
 def _phi_kernels(sys, a):
     """(_PhiKernel of phi1, _PhiKernel of phi2) at a."""
     return tuple(_PhiKernel(src, *kernel_data(phi), phi.rows)
-                 for src, phi in zip(_phi_sources(sys.d, a), phi_matrices(sys, a)))
+                 for (src, _), phi in zip(_phi_spaces(sys.d, a), phi_matrices(sys, a)))
 
 
 @_per_system
@@ -338,7 +378,13 @@ def _h1_action(sys, b, xi):
 
 
 def h1_dim(sys, a):
-    """dim of the middle Koszul homology strand: ker(phi1) + ker(phi2)."""
+    """dim of the middle Koszul homology strand: ker(phi1) + ker(phi2).
+
+    Over Q, where _h1_certified holds, both phi have full rank, and the
+    value is the closed form _full_rank_h1, that of the image too.
+    """
+    if not sys.field.is_prime_field and _h1_certified(sys, a):
+        return _full_rank_h1(sys.d, a)
     return sum(k.nullity for k in _phi_kernels(sys, a))
 
 
@@ -347,7 +393,10 @@ def hf_quotient(sys, a):
 
     Nothing eliminates that matrix: the value is dim V_a, the number of
     free monomials of the record _quotient_kernel builds by recursion.
+    Over Q, where _hf_certified holds, it is the value of the image.
     """
+    if not sys.field.is_prime_field and _hf_certified(sys, a):
+        return hf_quotient(_image(sys), a)
     return len(_quotient_kernel(sys, a)[1])
 
 
@@ -372,16 +421,19 @@ class GenericityVerdict:
         return f"NotGeneric(witness {self.witness})"
 
 
+def _is_critical(d, a):
+    """Whether a lies in a critical strip, where full rank of phi1/phi2 is
+    not automatic on a basepoint-free net (see is_generic)."""
+    d1, d2 = d
+    a1, a2 = a
+    return (a1 >= 3 * d1 and d2 <= a2 <= 2 * d2 - 2) or \
+        (a2 >= 3 * d2 and d1 <= a1 <= 2 * d1 - 2)
+
+
 def critical_ranges(d, box):
     """Bidegrees <= box where full rank of phi1/phi2 is not automatic."""
-    d1, d2 = d
-    out = []
-    for a1 in range(box[0] + 1):
-        for a2 in range(box[1] + 1):
-            if (a1 >= 3 * d1 and d2 <= a2 <= 2 * d2 - 2) or \
-               (a2 >= 3 * d2 and d1 <= a1 <= 2 * d1 - 2):
-                out.append((a1, a2))
-    return out
+    return [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)
+            if _is_critical(d, (a1, a2))]
 
 
 def check_box(d, box):
@@ -426,11 +478,23 @@ def is_generic(sys, box=None):
     sweep order, so its first drop is the witness of the whole box.  With
     a basepoint H1 has no such model and drops outside the strips do occur
     (the tests hold a (1,2) net over GF(32003) with witness (3, 0)).
+
+    Over Q a GenericOnBox verdict of the image is the verdict of sys.  The
+    image's phi matrices are those of sys reduced mod p, and a matrix over
+    Z_(p) has rank mod p at most its rank over Q, so a phi of full rank mod
+    p has full rank over Q.  The image's verdict covers the whole box (on
+    a Free image by the proof above), and so the sweep over Q would find no
+    drop either.  A NotGeneric image proves nothing: the sweep over Q runs
+    as on any system, and finds the witness over Q.
     """
     d1, d2 = sys.d
     if box is None:
         box = (4 * d1, 4 * d2)
     check_box(sys.d, box)
+    if not sys.field.is_prime_field and (img := _image(sys)) is not None:
+        verdict = is_generic(img, box)
+        if verdict.generic:
+            return verdict
     if _basepoint_verdict(sys).kind == "Free":
         degrees = critical_ranges(sys.d, box)
     else:
@@ -440,3 +504,67 @@ def is_generic(sys, box=None):
             return GenericityVerdict(False, tuple(box), a)
     return GenericityVerdict(True, tuple(box), None)
 
+
+# ---------------------------------------------- Q answers from one GF(p) image
+
+@_per_system_once
+def _image(sys):
+    """The image of a Q system: its reduction mod the first prime p of
+    lift_primes that divides no denominator of its coefficients and keeps
+    its three forms independent, a SystemF over GF(p); None if there is
+    none.  A coefficient n/d becomes n d^-1 mod p.  The image is built from
+    the coefficients alone and holds no reference to sys.
+
+    Every strand matrix of the image (phi, the generator strand, the
+    module actions) is the matching matrix of sys reduced mod p, because
+    the builders only place coefficients.  _basepoint_verdict, is_generic,
+    h1_dim and hf_quotient here, and betti.betti_table degree by degree,
+    read the image's value wherever a proof in their docstrings makes it
+    the value over Q (Arnold, "Modular algorithms for computing Groebner
+    bases", JSC 2003, for lucky primes), and compute over Q elsewhere.
+    Over GF(p) none of them asks for an image.
+    """
+    den = lcm(*(c.denominator for f in sys.polys for c in f.coeffs.values()))
+    for p in lift_primes():
+        if den % p == 0:
+            continue
+        fld = GF(p)
+        polys = [BiPoly(fld, sys.d, {e: c.numerator * pow(c.denominator, -1, p) % p
+                                     for e, c in f.coeffs.items()})
+                 for f in sys.polys]
+        try:
+            return SystemF(fld, sys.d, polys)
+        except ValueError:  # the forms are dependent mod p
+            continue
+    return None
+
+
+def _h1_certified(sys, a):
+    """Whether phi1 and phi2 of the Q system sys have full rank at a by a
+    proof read off its image, so that h1 over Q is h1 of the image.
+
+    If phi1 and phi2 of the image have full rank at a, then rank mod p <=
+    rank over Q <= min(rows, cols) = rank mod p for each, so the nullities
+    over Q and mod p agree.  On a Free image every a outside the critical
+    strips has full rank by the proof in is_generic, with no elimination;
+    only a critical a, or any a on an image that is not Free, eliminates
+    the image's phi pair.
+    """
+    img = _image(sys)
+    if img is None:
+        return False
+    if _basepoint_verdict(img).kind == "Free" and not _is_critical(sys.d, a):
+        return True
+    return all(k.full_rank for k in _phi_kernels(img, a))
+
+
+def _hf_certified(sys, a):
+    """Whether hf of the Q system sys at a is hf of its image: the image is
+    Free and h1 is certified at a.  Then sys is basepoint-free as well (see
+    _basepoint_verdict), and on a basepoint-free net H2 = H3 = 0 in the
+    Koszul complex on f0, f1, f2 (I has grade 2), so its Euler
+    characteristic gives hf = chi + h1 on both nets.  chi depends on d
+    alone, and h1 agrees at a, so hf agrees too."""
+    img = _image(sys)
+    return (img is not None and _basepoint_verdict(img).kind == "Free"
+            and _h1_certified(sys, a))

@@ -2,6 +2,7 @@
 
 import json
 import os
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 
@@ -12,6 +13,7 @@ from bigres.bipoly import BiPoly, SystemF, strand_basis
 from bigres.combinat import chi
 from bigres.betti import BettiTable
 from bigres.segre import basepoint_free
+from bigres import strands
 from bigres.strands import (VAR_DEGREES, GenericityVerdict, InverseStrandBasis,
                             _koszul_differential, _koszul_spots, _quotient_action,
                             _ring_differential, check_box, hf_quotient, phi_matrices)
@@ -116,6 +118,21 @@ def mod_p(x, p):
     denominator."""
     x = Fraction(x)
     return x.numerator * pow(x.denominator, -1, p) % p
+
+
+@contextmanager
+def uncertified():
+    """Inside the block every Q system has no image: strands._image returns
+    None, so h1, hf, genericity, the basepoint verdict and Betti numbers
+    over Q all take the Q path, as they did before any answer was read from
+    a GF(p) image.  Query inside it only systems not queried before it:
+    records stored earlier keep their values."""
+    image = strands._image
+    strands._image = lambda sys_: None
+    try:
+        yield
+    finally:
+        strands._image = image
 
 
 def full_box_generic(sys_, box=None):

@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bigres.exactcore import GF, QQ
+from bigres.exactcore import GF, QQ, lift_primes
 from bigres.bipoly import BiPoly, SystemF, strand_dim
 from bigres.betti import (BettiTable, ResolutionComplex,
                           alicia_syzygy, betti_table, hb_kernel, koszul_syzygies,
@@ -22,7 +22,7 @@ from bigres.strands import (VAR_DEGREES, _h1_action, _koszul_spots, h1_dim, hf_q
                             is_generic, koszul_strand_homology)
 from bigres.cli import load_system
 from helpers import (data_path, full_betti_table, full_module_homology, load_json,
-                     random_bpf_system, random_form)
+                     random_bpf_system, random_form, uncertified)
 
 FLD = GF()
 
@@ -274,32 +274,40 @@ def test_proved_zero_differentials_are_not_built(name, monkeypatch):
             assert a == (0, 0) or (a[0] >= d[0] and a[1] >= d[1]), a
 
 
+def _strand_facts(sys_, degrees, box):
+    """h1, hf, Koszul H_2 and H_3 and the M-complex at each degree, then
+    the Betti table on the box with its warning."""
+    cells = [(h1_dim(sys_, a), hf_quotient(sys_, a), koszul_strand_homology(sys_, a, 2),
+              koszul_strand_homology(sys_, a, 3), mcomplex_dims(sys_, a)) for a in degrees]
+    table = betti_table(sys_, box=box)
+    return cells, (table.entries, table.warning)
+
+
 @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 1)])
 @given(data=st.data())
 @settings(max_examples=4, deadline=None, derandomize=True)
 def test_rationals_and_prime_field_agree(d, data):
     # small integer coefficients: every strand fact over Q and mod p
-    # coincides unless p divides a minor, which p = 8388593 makes unlikely
-    # enough for the fixed draws of a derandomized run
+    # coincides unless p divides a minor, which the first lift prime makes
+    # unlikely enough for the fixed draws of a derandomized run.  That prime
+    # is the one of the image the Q answers are read from, so the Q side is
+    # computed uncertified, over Q alone
     n = strand_dim(d)
     vecs = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
                               min_size=3, max_size=3))
     try:
         sq, sp = (SystemF(fld, d, [BiPoly.from_vector(fld, d, v) for v in vecs])
-                  for fld in (QQ, GF(8388593)))
+                  for fld in (QQ, GF(next(lift_primes()))))
     except ValueError:
         assume(False)
     box = (3 * d[0] + 2, 3 * d[1] + 2)
-    for a1 in range(box[0] + 1):
-        for a2 in range(box[1] + 1):
-            a = (a1, a2)
-            assert h1_dim(sq, a) == h1_dim(sp, a), a
-            assert hf_quotient(sq, a) == hf_quotient(sp, a), a
-            for i in (2, 3):
-                assert koszul_strand_homology(sq, a, i) == koszul_strand_homology(sp, a, i), a
-            assert mcomplex_dims(sq, a) == mcomplex_dims(sp, a), a
-    tq, tp = betti_table(sq, box=box), betti_table(sp, box=box)
-    assert (tq.entries, tq.warning) == (tp.entries, tp.warning)
+    degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]
+    with uncertified():
+        cells_q, table_q = _strand_facts(sq, degrees, box)
+    cells_p, table_p = _strand_facts(sp, degrees, box)
+    for a, q, p in zip(degrees, cells_q, cells_p):
+        assert q == p, a
+    assert table_q == table_p
 
 
 def test_route_equality_degree_by_degree():

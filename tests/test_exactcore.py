@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigres.exactcore import (GF, QQ, DEFAULT_PRIME, ExactMatrix, kernel_data,
+from bigres.exactcore import (GF, QQ, DEFAULT_PRIME, ExactMatrix, kernel_data, lift_primes,
                               mat_from_blocks, mat_mul, mat_rank, rref)
 
 from helpers import mat_hstack, mat_vstack
@@ -70,9 +70,12 @@ def _low_rank_rationals(m, n, k, bits, rng):
             for row in left]
 
 
+FIRST_PRIME = next(lift_primes())
+
+
 @pytest.mark.parametrize("rows", [
-    [[1, 1], [1, 1 + 8388593]],  # rank 1 modulo the first prime, 2 over Q
-    [[8388593, 1]],              # pivot column 1 modulo the first prime, 0 over Q
+    [[1, 1], [1, 1 + FIRST_PRIME]],  # rank 1 modulo the first prime, 2 over Q
+    [[FIRST_PRIME, 1]],              # pivot column 1 modulo the first prime, 0 over Q
     _low_rank_rationals(6, 7, 4, 64, random.Random(7)),  # needs many primes
 ], ids=["rank-drop", "pivot-shift", "large-entries"])
 def test_rational_rref_lift_matches_naive(rows):

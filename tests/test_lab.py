@@ -3,9 +3,9 @@ import sys
 
 import pytest
 
-from bigres import lab, segre
+from bigres import exactcore, lab, segre
 from bigres.exactcore import GF, QQ
-from bigres.bipoly import BiPoly, SystemF
+from bigres.bipoly import BiPoly, SystemF, strand_dim
 from bigres.lab import (ExperimentConfig, generic_report, probe_system, rs_check,
                         sample_system)
 from bigres.strands import critical_ranges
@@ -81,6 +81,21 @@ def test_one_trial_runs_the_basepoint_test_once(field, monkeypatch):
     rep = generic_report(ExperimentConfig((1, 3), seed=1, trials=1, field=field))
     assert rep.basepoint_rejections == 0 and rep.generic_count == 1
     assert len(calls) == 1
+
+
+def test_q_trial_eliminates_nothing_over_q_after_the_draw(monkeypatch):
+    # over Q every answer of a lab trial is read from the GF(p) image: the
+    # only elimination over Q is the independence check of the drawn forms
+    calls = []
+    rref_rational = exactcore._rref_rational
+
+    def counting(a):
+        calls.append(a.shape)
+        return rref_rational(a)
+    monkeypatch.setattr(exactcore, "_rref_rational", counting)
+    rep = generic_report(ExperimentConfig((1, 3), seed=1, trials=1, field=QQ))
+    assert rep.basepoint_rejections == 0 and rep.generic_count == 1
+    assert calls == [(3, strand_dim((1, 3)))]
 
 
 def test_rs_check_maps6_inside_critical():
