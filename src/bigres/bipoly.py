@@ -327,9 +327,6 @@ def gcd_binary(p, q):
                               [field.zero()] * vmult + g[::-1])
 
 
-_ROOT_CHUNK = 1 << 16  # residues per step of the GF(p) root scan
-
-
 def binary_roots(bf):
     """Projective roots (alpha, beta) of the (0,n) form bf over the ground
     field, each once.
@@ -353,13 +350,12 @@ def binary_roots(bf):
         roots.append((field.one(), field.zero()))  # (1 : 0), i.e. v | bf
     if field.is_prime_field:
         p = field.p
-        # the scan runs in chunks, so its arrays stay small for p up to 2^23
-        for r0 in range(0, p, _ROOT_CHUNK):
-            rs = np.arange(r0, min(r0 + _ROOT_CHUNK, p), dtype=np.int64)
-            acc = np.full(rs.size, desc[0], dtype=np.int64)
-            for c in desc[1:]:
-                acc = (acc * rs + c) % p
-            roots.extend((int(r), 1) for r in rs[acc == 0])
+        rs = np.arange(p, dtype=np.int64)
+        acc = np.full(p, desc[0], dtype=np.int64)
+        for c in desc[1:]:
+            acc = (acc * rs + c) % p
+        for r in np.nonzero(acc == 0)[0]:
+            roots.append((int(r), 1))
         return roots
     dense = _dehom_u(bf)
     if not dense:

@@ -56,6 +56,29 @@ def _st_kernel_at(sys, uv_point):
     return tuple(k.col(0))
 
 
+def _minor_gcd(sys):
+    """gcd of the nonzero 2x2 minors of theta for d1 == 1; None if every
+    minor vanishes."""
+    nonzero = [m for m in cross(*theta_matrix(sys.polys)) if not m.is_zero()]
+    if not nonzero:
+        return None
+    g = nonzero[0]
+    for m in nonzero[1:]:
+        g = gcd_binary(g, m)
+    return g
+
+
+def is_basepoint_free(sys):
+    """Whether basepoint_free(sys) is Free, decided without its search for
+    a witness point: the gcd of the minors alone for d1 == 1, hf(3d) for
+    d1 >= 2."""
+    d1, d2 = sys.d
+    if d1 >= 2:
+        return hf_quotient(sys, (3 * d1, 3 * d2)) == 0
+    g = _minor_gcd(sys)
+    return g is not None and g.degree[1] == 0
+
+
 def basepoint_free(sys):
     """Exact verdict for d=(1,n); sound one-sided test otherwise.
 
@@ -72,8 +95,8 @@ def basepoint_free(sys):
             return BasepointVerdict("Free")
         return BasepointVerdict("Inconclusive",
                                 hint="retry hf_quotient at (k*d1,k*d2), k=4,5,...")
-    nonzero = [m for m in cross(*theta_matrix(sys.polys)) if not m.is_zero()]
-    if not nonzero:
+    g = _minor_gcd(sys)
+    if g is None:
         # theta has rank <= 1 everywhere: every (u0,v0) sits under a basepoint
         for uv in ((fld.one(), fld.zero()), (fld.zero(), fld.one()),
                    (fld.one(), fld.one())):
@@ -82,9 +105,6 @@ def basepoint_free(sys):
                 return BasepointVerdict("HasBasepoint", witness=(st, uv),
                                         evidence="theta rank <= 1")
         return BasepointVerdict("HasBasepoint", evidence="theta rank <= 1")
-    g = nonzero[0]
-    for m in nonzero[1:]:
-        g = gcd_binary(g, m)
     if g.degree[1] == 0:
         return BasepointVerdict("Free")
     for alpha, beta in binary_roots(g):

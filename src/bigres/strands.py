@@ -18,17 +18,19 @@ store owns every elimination and every module action: the quotient record,
 the phi pair, the higher Koszul ranks and the R/I and H1 actions of each
 variable at a degree are each computed once per system, and hf_quotient,
 h1_dim, koszul_strand_homology, is_generic and the Koszul complexes on R/I
-and H1 in betti all read the same records.  Two records depend on no
+and H1 in betti all read the same records.  Some records depend on no
 degree: the segre.basepoint_free verdict, read by is_generic and by the lab
 draws, and, for a system over Q, its image _image, the reduction mod the
 first prime of exactcore.lift_primes that divides no denominator and keeps
-the three forms independent.  Over Q, _basepoint_verdict, is_generic,
-h1_dim and hf_quotient return the value of the image wherever a proof
-makes it the value over Q (the proofs are in their docstrings and in those
-of _h1_certified and _hf_certified), and compute over Q wherever none
-does, degree by degree; betti.betti_table reads Tor the same way.  A
-system over GF(p) never asks for an image.  The quotient and the phi pair
-keep one kind of record, kernel_data:
+the three forms independent, with _image_free, whether that image is
+basepoint-free.  Over Q, _basepoint_verdict, is_generic, h1_dim and
+hf_quotient return the value of the image wherever a proof makes it the
+value over Q (the proofs are in their docstrings and in those of
+_image_free, _h1_certified and _hf_certified), and compute over Q
+wherever none does, degree by degree; betti.betti_table reads Tor the
+same way.  A system over GF(p) never asks
+for an image.  The quotient and the phi pair keep one kind of record,
+kernel_data:
 for the quotient it is the kernel of the transposed generator strand d_1^T,
 the inverse system V_b = (I_b)^perp of I at that degree, whose free
 monomials span R/I there.
@@ -194,32 +196,24 @@ def _per_system_once(build):
     return record
 
 
-@_per_system_once
 def _basepoint_verdict(sys):
     """segre.basepoint_free(sys), kept as one record in the store of sys and
     computed only there.  The verdict holds field elements and a gcd form,
     never sys itself.
 
-    Over Q a Free verdict of the image is the verdict of sys, and nothing
-    over Q is computed.  A basepoint of sys over the algebraic closure of Q
-    reduces to a basepoint of the image: scale its coordinates on each P1
-    factor to be integral over Z_(p), with one of them a unit, and reduce
-    them mod a prime over p; the forms are p-integral, so their reductions
-    vanish there.  So an image without basepoints proves that sys has none,
-    and basepoint_free is exact for d1 = 1.  For d1 >= 2 its Free verdict
-    is hf(3d) = 0, and hf over Q is at most hf mod p (rank mod p is at most
-    rank over Q).  A Free verdict carries no field data, so the two records
-    are equal.  Any other verdict of the image proves nothing, and sys is
-    tested over Q.
+    Over Q, where _image_free proves sys Free, the record is the verdict of
+    the image: a Free verdict carries no field data, so the two are equal,
+    and on a Free image basepoint_free stops at the gcd, with no search for
+    a witness.  Anywhere else sys is tested over Q.
     """
-    if not sys.field.is_prime_field:
-        img = _image(sys)
-        if img is not None and _basepoint_verdict(img).kind == "Free":
-            return _basepoint_verdict(img)
-    # segre imports this module at load time, so it is imported here, at
-    # call time, to break the cycle
-    from . import segre
-    return segre.basepoint_free(sys)
+    recs = _store.setdefault(sys, {})
+    if ("basepoint_free",) not in recs:
+        # segre imports this module at load time, so it is imported here, at
+        # call time, to break the cycle
+        from . import segre
+        free = not sys.field.is_prime_field and _image_free(sys)
+        recs[("basepoint_free",)] = segre.basepoint_free(_image(sys) if free else sys)
+    return recs[("basepoint_free",)]
 
 
 def _quotient_kernel(sys, b):
@@ -479,30 +473,37 @@ def is_generic(sys, box=None):
     a basepoint H1 has no such model and drops outside the strips do occur
     (the tests hold a (1,2) net over GF(32003) with witness (3, 0)).
 
-    Over Q a GenericOnBox verdict of the image is the verdict of sys.  The
-    image's phi matrices are those of sys reduced mod p, and a matrix over
-    Z_(p) has rank mod p at most its rank over Q, so a phi of full rank mod
-    p has full rank over Q.  The image's verdict covers the whole box (on
-    a Free image by the proof above), and so the sweep over Q would find no
-    drop either.  A NotGeneric image proves nothing: the sweep over Q runs
-    as on any system, and finds the witness over Q.
+    Over Q a sweep of the image without a drop proves sys GenericOnBox.
+    The image's phi matrices are those of sys reduced mod p, and a matrix
+    over Z_(p) has rank mod p at most its rank over Q, so a phi of full
+    rank mod p has full rank over Q.  The image's sweep covers the whole
+    box (on an image that _image_free proves Free, by the proof above), so
+    the sweep over Q would find no drop either.  A drop of the image proves
+    nothing: the sweep over Q runs as on any system, and finds the witness
+    over Q.
     """
     d1, d2 = sys.d
     if box is None:
         box = (4 * d1, 4 * d2)
     check_box(sys.d, box)
-    if not sys.field.is_prime_field and (img := _image(sys)) is not None:
-        verdict = is_generic(img, box)
-        if verdict.generic:
-            return verdict
-    if _basepoint_verdict(sys).kind == "Free":
+    if not sys.field.is_prime_field and (img := _image(sys)) is not None \
+            and _first_drop(img, box, _image_free(sys)) is None:
+        return GenericityVerdict(True, tuple(box), None)
+    a = _first_drop(sys, box, _basepoint_verdict(sys).kind == "Free")
+    return GenericityVerdict(a is None, tuple(box), a)
+
+
+def _first_drop(sys, box, free):
+    """The first degree of the is_generic sweep of box where phi1 or phi2
+    drops rank, None if there is none; free sweeps only critical_ranges."""
+    if free:
         degrees = critical_ranges(sys.d, box)
     else:
         degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]
     for a in degrees:
         if not all(k.full_rank for k in _phi_kernels(sys, a)):
-            return GenericityVerdict(False, tuple(box), a)
-    return GenericityVerdict(True, tuple(box), None)
+            return a
+    return None
 
 
 # ---------------------------------------------- Q answers from one GF(p) image
@@ -539,21 +540,42 @@ def _image(sys):
     return None
 
 
+@_per_system_once
+def _image_free(sys):
+    """Whether the Q system sys has an image without basepoints, by
+    segre.is_basepoint_free: the Free decision of basepoint_free without
+    its search for a witness, which nothing reads off an image.  Then sys
+    has no basepoints either.
+
+    A basepoint of sys over the algebraic closure of Q reduces to one of
+    the image: scale its coordinates on each P1 factor to be integral over
+    Z_(p), with one of them a unit, and reduce them mod a prime over p; the
+    forms are p-integral, so their reductions vanish there.  The test is
+    exact for d1 = 1.  For d1 >= 2 it is hf(3d) = 0, and hf over Q is at
+    most hf mod p (rank mod p is at most rank over Q).  An image with a
+    basepoint, or an Inconclusive one, proves nothing.
+    """
+    img = _image(sys)
+    # segre imports this module at load time (see _basepoint_verdict)
+    from . import segre
+    return img is not None and segre.is_basepoint_free(img)
+
+
 def _h1_certified(sys, a):
     """Whether phi1 and phi2 of the Q system sys have full rank at a by a
     proof read off its image, so that h1 over Q is h1 of the image.
 
     If phi1 and phi2 of the image have full rank at a, then rank mod p <=
     rank over Q <= min(rows, cols) = rank mod p for each, so the nullities
-    over Q and mod p agree.  On a Free image every a outside the critical
-    strips has full rank by the proof in is_generic, with no elimination;
-    only a critical a, or any a on an image that is not Free, eliminates
-    the image's phi pair.
+    over Q and mod p agree.  On a Free image (_image_free) every a outside
+    the critical strips has full rank by the proof in is_generic, with no
+    elimination; only a critical a, or any a on an image that is not Free,
+    eliminates the image's phi pair.
     """
     img = _image(sys)
     if img is None:
         return False
-    if _basepoint_verdict(img).kind == "Free" and not _is_critical(sys.d, a):
+    if _image_free(sys) and not _is_critical(sys.d, a):
         return True
     return all(k.full_rank for k in _phi_kernels(img, a))
 
@@ -561,10 +583,8 @@ def _h1_certified(sys, a):
 def _hf_certified(sys, a):
     """Whether hf of the Q system sys at a is hf of its image: the image is
     Free and h1 is certified at a.  Then sys is basepoint-free as well (see
-    _basepoint_verdict), and on a basepoint-free net H2 = H3 = 0 in the
-    Koszul complex on f0, f1, f2 (I has grade 2), so its Euler
-    characteristic gives hf = chi + h1 on both nets.  chi depends on d
-    alone, and h1 agrees at a, so hf agrees too."""
-    img = _image(sys)
-    return (img is not None and _basepoint_verdict(img).kind == "Free"
-            and _h1_certified(sys, a))
+    _image_free), and on a basepoint-free net H2 = H3 = 0 in the Koszul
+    complex on f0, f1, f2 (I has grade 2), so its Euler characteristic
+    gives hf = chi + h1 on both nets.  chi depends on d alone, and h1
+    agrees at a, so hf agrees too."""
+    return _image_free(sys) and _h1_certified(sys, a)

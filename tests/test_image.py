@@ -7,7 +7,8 @@ helpers.uncertified(), where every answer is computed over Q.  The two must
 agree byte for byte, on images that certify everything and on images that
 fail a certificate: dependent forms or a denominator divisible by the first
 prime (the image moves to the next prime), a basepoint, a rank drop that Q
-does not have, and mixed-parity homology.
+does not have, and mixed-parity homology.  The image is never searched for
+a basepoint witness.
 """
 
 import gc
@@ -19,11 +20,12 @@ from itertools import islice
 import pytest
 import sympy
 
-from bigres import betti, strands
+from bigres import betti, segre, strands
 from bigres.exactcore import GF, QQ, lift_primes
 from bigres.bipoly import BiPoly, SystemF, strand_dim
 from bigres.betti import betti_table
-from bigres.strands import _basepoint_verdict, _image, h1_dim, hf_quotient, is_generic
+from bigres.strands import (_basepoint_verdict, _image, _image_free, h1_dim, hf_quotient,
+                            is_generic)
 from bigres.cli import load_system
 from helpers import data_path, random_bpf_system, random_form, uncertified
 
@@ -127,9 +129,31 @@ def test_image_with_a_basepoint_falls_back():
     make = lambda: SystemF(QQ, (1, 2), forms)
     sys_ = make()
     assert _image(sys_).field == GF(P0)
-    assert _basepoint_verdict(_image(sys_)).kind == "HasBasepoint"
+    assert not _image_free(sys_)
     assert _basepoint_verdict(sys_).kind == "Free"
     _assert_matches_q_path(make, (4, 6))
+
+
+def test_no_witness_search_on_the_image(monkeypatch):
+    # f_i = s A_i + t u B_i has a basepoint at (0:1, 0:1) over Q and mod p.
+    # Only Free against not Free is read off the image, so nothing searches
+    # it for a witness: that would scan all p residues.  The basepoint
+    # verdict over Q searches over Q.
+    rng = random.Random(16)
+    s, t, u = (BiPoly.variable(QQ, x) for x in "stu")
+    forms = [s * _small_form((0, 2), rng) + t * u * _small_form((0, 1), rng) for _ in range(3)]
+    make = lambda: SystemF(QQ, (1, 2), forms)
+    fields, roots = [], segre.binary_roots
+
+    def recording(g):
+        fields.append(g.field)
+        return roots(g)
+    monkeypatch.setattr(segre, "binary_roots", recording)
+    sys_ = make()
+    assert not _image_free(sys_)
+    assert _basepoint_verdict(sys_).kind == "HasBasepoint"
+    _assert_matches_q_path(make, (4, 6))
+    assert fields and set(fields) == {QQ}
 
 
 def test_generic_over_q_with_a_nongeneric_image():
@@ -182,7 +206,7 @@ def test_rank_drops_outside_the_strips_on_nets_with_basepoints(vecs, witness):
     # outside the critical strips, which only a Free image may skip
     make = lambda: SystemF(QQ, (1, 2), [BiPoly.from_vector(QQ, (1, 2), v) for v in vecs])
     sys_ = make()
-    assert _basepoint_verdict(_image(sys_)).kind == "HasBasepoint"
+    assert not _image_free(sys_)
     assert str(is_generic(sys_)) == f"NotGeneric(witness {witness})"
     assert h1_dim(sys_, witness) > strands._full_rank_h1((1, 2), witness)
     _assert_matches_q_path(make, (4, 8))

@@ -24,6 +24,21 @@ from helpers import (data_path, dense_quotient_kernel, full_box_generic, h1_supp
 
 FLD = GF()
 
+# the oracle tests run over GF(p), over Q as the package computes it (reading
+# its GF(p) image wherever a proof allows), and over Q with no image, so the
+# computation over Q alone keeps its oracle too
+ORACLE_FIELDS, ORACLE_IDS = [GF(), QQ, "QQ-uncertified"], ["GF", "QQ", "QQ-uncertified"]
+
+
+@pytest.fixture
+def fld(request):
+    """The field of an ORACLE_FIELDS case, with the image off for the last."""
+    if request.param == "QQ-uncertified":
+        with uncertified():
+            yield QQ
+    else:
+        yield request.param
+
 
 def maps6_system():
     return load_system(data_path("sys_maps6.json"))
@@ -59,8 +74,7 @@ def test_phi_blocks_prime_field_match_rationals(d):
                     assert got == inverse_block_oracle(fp, src), (a1, a2)
                     assert got.data.tolist() == [[mod_p(x, p) for x in row]
                                               for row in want.data.tolist()], (a1, a2)
-    # small coefficients keep the exact eliminations behind the actions cheap;
-    # the Q side is computed uncertified, over Q alone
+    # small coefficients keep the exact eliminations behind the actions cheap
     rng = random.Random(7 * d[0] + d[1])
     sq = random_system(QQ, d, rng)
     sp = SystemF(GF(p), d, [BiPoly(GF(p), d, f.coeffs) for f in sq.polys])
@@ -68,8 +82,7 @@ def test_phi_blocks_prime_field_match_rationals(d):
         for a1 in range(2 * d[0] + 3):
             for a2 in range(2 * d[1] + 3):
                 for xi in range(4):
-                    with uncertified():
-                        want = action(sq, (a1, a2), xi).data.tolist()
+                    want = action(sq, (a1, a2), xi).data.tolist()
                     got = action(sp, (a1, a2), xi).data.tolist()
                     assert got == [[mod_p(x, p) for x in row] for row in want], \
                         (action.__name__, a1, a2, xi)
@@ -156,7 +169,7 @@ def _ring_spot_dims(d, a):
                               for k in (1, 2)] + [strand_dim((a[0] - 3 * d[0], a[1] - 3 * d[1]))]
 
 
-@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=ORACLE_IDS, indirect=True)
 @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 1)])
 def test_koszul_differentials_are_complexes(d, fld):
     # every Koszul strand comes from one builder: on R over the net, and on
@@ -228,7 +241,7 @@ def test_ring_differential_builds_each_block_once(monkeypatch):
     assert calls == [(2, 2)] * 3
 
 
-@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=ORACLE_IDS, indirect=True)
 @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 2)])
 def test_store_matches_direct_eliminations(d, fld):
     # hf, Koszul H_0 and the Betti quotient strands read one stored
@@ -251,7 +264,7 @@ def test_store_matches_direct_eliminations(d, fld):
     assert is_generic(sys_) == full_box_generic(sys_)
 
 
-@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=ORACLE_IDS, indirect=True)
 @pytest.mark.parametrize("d", [(1, 1), (1, 2), (1, 3), (1, 5), (2, 2)])
 def test_is_generic_matches_full_box_oracle(d, fld):
     # on a basepoint-free net is_generic sweeps only the critical ranges;
@@ -267,7 +280,7 @@ def test_is_generic_matches_full_box_oracle_on_data(name):
     assert is_generic(sys_) == full_box_generic(sys_)
 
 
-@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=ORACLE_IDS, indirect=True)
 def test_is_generic_matches_full_box_oracle_on_sparse_nets(fld):
     # sparse nets drop rank often, with and without basepoints, and for
     # d1 >= 2 the basepoint test may be inconclusive; whatever the branch,
