@@ -115,9 +115,10 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
     """Betti table over [0,box] (or an explicit degree list) via Tor strands.
 
     Quotient homology is computed for homological indices 0..4 and shifted
-    down by one for IdealConvention.  Non-basepoint-free input only sets the
-    warning flag; the table itself stays well-defined.  Two values are
-    proved, with or without basepoints, and not built:
+    down by one for IdealConvention.  Non-basepoint-free input, by the exact
+    test strands._free, only sets the warning flag; the table itself stays
+    well-defined.  Two values are proved, with or without basepoints, and
+    not built:
     - (B) Tor of R/I is 0 at a != (0,0) with a1 < d1 or a2 < d2.  Every spot
       b <= a has I_b = 0, so the strand is the degree-a strand of the Koszul
       complex of R on s,t,u,v, a resolution of k = R/(s,t,u,v) (Eisenbud,
@@ -146,8 +147,7 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
                 entries[(j, a)] = h
     if convention == "IdealConvention":
         entries = {(j - 1, a): m for (j, a), m in entries.items() if j >= 1}
-    warning = hf_quotient(sys, (3 * sys.d[0], 3 * sys.d[1])) != 0
-    return BettiTable(convention, entries, warning)
+    return BettiTable(convention, entries, not strands._free(sys))
 
 
 def _tor(sys, a):

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field as dc_field
 from .exactcore import GF, DEFAULT_PRIME, ExactMatrix, mat_rank
 from .bipoly import BiPoly, SystemF, strand_dim, theta_matrix
 from .combinat import chi, nd, pos_part
-from .strands import (_basepoint_verdict, check_box, critical_ranges, h1_dim, hf_quotient,
-                      is_generic)
+from .strands import check_box, critical_ranges, h1_dim, hf_quotient, is_generic
 from .betti import betti_table, nonkoszul_beta1
-from .segre import (ImpossibleFactorization, detect_conic, extract_factorization,
-                    square_strand_singular)
+from .segre import (ImpossibleFactorization, basepoint_free, detect_conic,
+                    extract_factorization, square_strand_singular)
 
 MAX_REJECTIONS = 100
 
@@ -61,7 +60,7 @@ def _draw(cfg, trial):
         except ValueError:
             rejections += 1
             continue
-        if _basepoint_verdict(sys).kind == "Free":
+        if basepoint_free(sys).kind == "Free":
             return sys, rejections
         rejections += 1
     raise RuntimeError(f"no basepoint-free sample after {MAX_REJECTIONS} rejections "

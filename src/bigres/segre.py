@@ -1,8 +1,10 @@
 """Geometry of the span W against Segre loci: basepoints, conics, factorizations.
 
-The exact basepoint test for d=(1,n) works through the 2x3 matrix theta of
-split forms (bipoly.theta_matrix): W has a basepoint iff the gcd of its
-three 2x2 minors (betti.cross) is nonconstant.
+The exact basepoint test, for every d, is the rank of one square generator
+strand, read from the store record strands._free.  For d=(1,n) a net with a
+basepoint also gets a witness through the 2x3 matrix theta of split forms
+(bipoly.theta_matrix): the gcd of its three 2x2 minors (betti.cross) is
+nonconstant, and its roots give the basepoints.
 Conic detection looks for a first syzygy with coefficients quadratic in s,t
 and rebuilds the normal basis (t a0, s a0 + t a1, s a1).  The resolution
 templates for the conic and three-point cases are instantiated here and
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .exactcore import ExactMatrix, kernel_data, mat_rank, rref
 from .bipoly import BiPoly, SystemF, binary_roots, gcd_binary, theta_matrix
-from .strands import _ring_differential, hf_quotient, phi_matrices
+from .strands import _free, _ring_differential, phi_matrices
 from .betti import ResolutionComplex, SyzygyVector, cross, hb_kernel, poly_dot
 
 
@@ -31,17 +33,14 @@ class ConicRedirect(Exception):
 
 @dataclass
 class BasepointVerdict:
-    kind: str                    # Free | HasBasepoint | Inconclusive
+    kind: str                    # Free | HasBasepoint
     witness: tuple | None = None  # ((s0,t0),(u0,v0)) if extractable
     evidence: object = None      # gcd (0,n) BiPoly or note
-    hint: str | None = None
 
     def __str__(self):
         if self.kind == "HasBasepoint" and self.witness:
             pts = ", ".join(f"({', '.join(map(str, pt))})" for pt in self.witness)
             return f"HasBasepoint at ({pts})"
-        if self.kind == "Inconclusive":
-            return f"Inconclusive ({self.hint})"
         return self.kind
 
 
@@ -56,47 +55,23 @@ def _st_kernel_at(sys, uv_point):
     return tuple(k.col(0))
 
 
-def _minor_gcd(sys):
-    """gcd of the nonzero 2x2 minors of theta for d1 == 1; None if every
-    minor vanishes."""
+def basepoint_free(sys):
+    """Exact verdict for every d: Free iff the square generator strand of
+    strands._free has full rank (the proof is in its docstring).
+
+    A net with a basepoint and d1 == 1 also gets a witness or evidence:
+    the gcd of the three 2x2 minors of theta, nonconstant there, whose roots
+    over the ground field are searched for a point; an irreducible gcd is
+    returned as evidence alone.  For d1 >= 2 the verdict is HasBasepoint
+    with no witness.
+    """
+    if _free(sys):
+        return BasepointVerdict("Free")
+    if sys.d[0] >= 2:
+        return BasepointVerdict("HasBasepoint")
+    fld = sys.field
     nonzero = [m for m in cross(*theta_matrix(sys.polys)) if not m.is_zero()]
     if not nonzero:
-        return None
-    g = nonzero[0]
-    for m in nonzero[1:]:
-        g = gcd_binary(g, m)
-    return g
-
-
-def is_basepoint_free(sys):
-    """Whether basepoint_free(sys) is Free, decided without its search for
-    a witness point: the gcd of the minors alone for d1 == 1, hf(3d) for
-    d1 >= 2."""
-    d1, d2 = sys.d
-    if d1 >= 2:
-        return hf_quotient(sys, (3 * d1, 3 * d2)) == 0
-    g = _minor_gcd(sys)
-    return g is not None and g.degree[1] == 0
-
-
-def basepoint_free(sys):
-    """Exact verdict for d=(1,n); sound one-sided test otherwise.
-
-    d1 == 1: Free iff the gcd of the three 2x2 minors of theta is constant.
-    A gcd root over the ground field upgrades the verdict with a witness
-    point; an irreducible gcd is returned as evidence alone.  d1 >= 2: a
-    vanishing quotient strand at 3d certifies Free; anything else is
-    Inconclusive (retry at larger multiples of d).
-    """
-    fld = sys.field
-    d1, d2 = sys.d
-    if d1 >= 2:
-        if hf_quotient(sys, (3 * d1, 3 * d2)) == 0:
-            return BasepointVerdict("Free")
-        return BasepointVerdict("Inconclusive",
-                                hint="retry hf_quotient at (k*d1,k*d2), k=4,5,...")
-    g = _minor_gcd(sys)
-    if g is None:
         # theta has rank <= 1 everywhere: every (u0,v0) sits under a basepoint
         for uv in ((fld.one(), fld.zero()), (fld.zero(), fld.one()),
                    (fld.one(), fld.one())):
@@ -105,8 +80,9 @@ def basepoint_free(sys):
                 return BasepointVerdict("HasBasepoint", witness=(st, uv),
                                         evidence="theta rank <= 1")
         return BasepointVerdict("HasBasepoint", evidence="theta rank <= 1")
-    if g.degree[1] == 0:
-        return BasepointVerdict("Free")
+    g = nonzero[0]
+    for m in nonzero[1:]:
+        g = gcd_binary(g, m)
     for alpha, beta in binary_roots(g):
         st = _st_kernel_at(sys, (alpha, beta))
         if st is not None:

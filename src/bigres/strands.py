@@ -19,19 +19,18 @@ the phi pair, the higher Koszul ranks and the R/I and H1 actions of each
 variable at a degree are each computed once per system, and hf_quotient,
 h1_dim, koszul_strand_homology, is_generic and the Koszul complexes on R/I
 and H1 in betti all read the same records.  Some records depend on no
-degree: the segre.basepoint_free verdict, read by is_generic and by the lab
-draws, and, for a system over Q, its image _image, the reduction mod the
-first prime of exactcore.lift_primes that divides no denominator and keeps
-the three forms independent, with _image_free, whether that image is
-basepoint-free.  Over Q, _basepoint_verdict, is_generic, h1_dim and
-hf_quotient return the value of the image wherever a proof makes it the
-value over Q (the proofs are in their docstrings and in those of
-_image_free, _h1_certified and _hf_certified), and compute over Q
-wherever none does, degree by degree; betti.betti_table reads Tor the
-same way.  A system over GF(p) never asks
-for an image.  The quotient and the phi pair keep one kind of record,
-kernel_data:
-for the quotient it is the kernel of the transposed generator strand d_1^T,
+degree: the basepoint test _free, the rank of the square generator strand
+at (3d1 - 1, 2d2 - 1), which segre.basepoint_free (and so the lab draws),
+is_generic and the warning of betti.betti_table all read, and, for a system
+over Q, its image _image, the reduction mod the first prime of
+exactcore.lift_primes that divides no denominator and keeps the three
+forms independent; _image_free is _free of that image.  Over Q, _free, is_generic, h1_dim and hf_quotient return the value of the
+image wherever a proof makes it the value over Q (the proofs are in their
+docstrings and in those of _image_free, _h1_certified and _hf_certified),
+and compute over Q wherever none does, degree by degree; betti.betti_table
+reads Tor the same way.  A system over GF(p) never asks for an image.
+The quotient and the phi pair keep one kind of record, kernel_data: for
+the quotient it is the kernel of the transposed generator strand d_1^T,
 the inverse system V_b = (I_b)^perp of I at that degree, whose free
 monomials span R/I there.
 
@@ -196,24 +195,40 @@ def _per_system_once(build):
     return record
 
 
-def _basepoint_verdict(sys):
-    """segre.basepoint_free(sys), kept as one record in the store of sys and
-    computed only there.  The verdict holds field elements and a gcd form,
-    never sys itself.
+@_per_system_once
+def _free(sys):
+    """Whether the net has no basepoint over the algebraic closure: the one
+    exact basepoint test, for every d.  It is whether the generator strand
+    d_1 = [f0 f1 f2]: R_(m-d)^3 -> R_m at m = (3d1 - 1, 2d2 - 1) has full
+    rank.  That strand is square: dim R_m = 3d1 2d2 = 3 (2d1 d2) = 3 dim
+    R_(m-d).  Its determinant is the resultant of the net, a formula of
+    Sylvester type (Sturmfels and Zelevinsky, "Multigraded resultants of
+    Sylvester type", J. Algebra 1994; Dickenstein and Emiris,
+    "Multihomogeneous resultant formulae by means of complexes", JSC 2003).
 
-    Over Q, where _image_free proves sys Free, the record is the verdict of
-    the image: a Free verdict carries no field data, so the two are equal,
-    and on a Free image basepoint_free stops at the gcd, with no search for
-    a witness.  Anywhere else sys is tested over Q.
+    Rank does not change under field extension, so both directions may be
+    argued over the algebraic closure K.
+    * A basepoint P makes the strand singular.  Every sum g0 f0 + g1 f1 +
+      g2 f2 vanishes at P, while some monomial of R_m does not, so the
+      strand is not onto.
+    * Without a basepoint it is onto.  The forms have no common zero on
+      X = P1 x P1, so the Koszul complex of sheaves on them is exact, and
+      so is its twist by O(m):
+        0 -> O(m-3d) -> O(m-2d)^3 -> O(m-d)^3 -> O(m) -> 0.
+      Let K be the kernel of O(m-d)^3 -> O(m).  H^0(O(m-d)^3) -> H^0(O(m))
+      is onto when H^1(K) = 0, and H^1(K) lies between H^1(O(m-2d))^3 and
+      H^2(O(m-3d)).  By Kuenneth both vanish, since O(-1) on P1 has no
+      cohomology at all: m - 2d = (d1 - 1, -1) and m - 3d = (-1, -d2 - 1).
+      As m - d >= 0, H^0 of O(m-d) and of O(m) are R_(m-d) and R_m.
+
+    Over Q the answer is True when the image is Free (_image_free), with no
+    elimination over Q; otherwise it is the rank over Q.  The record holds
+    only a bool, never sys.
     """
-    recs = _store.setdefault(sys, {})
-    if ("basepoint_free",) not in recs:
-        # segre imports this module at load time, so it is imported here, at
-        # call time, to break the cycle
-        from . import segre
-        free = not sys.field.is_prime_field and _image_free(sys)
-        recs[("basepoint_free",)] = segre.basepoint_free(_image(sys) if free else sys)
-    return recs[("basepoint_free",)]
+    if not sys.field.is_prime_field and _image_free(sys):
+        return True
+    m = (3 * sys.d[0] - 1, 2 * sys.d[1] - 1)
+    return mat_rank(_ring_differential(sys, m, 1)) == strand_dim(m)
 
 
 def _quotient_kernel(sys, b):
@@ -444,9 +459,8 @@ def is_generic(sys, box=None):
     The default box (4d1, 4d2) covers the critical ranges; check_box rejects
     any box that cannot.  Degrees are swept a1 outer, a2 inner, and the
     first one where phi1 or phi2 drops rank is the witness.  On a net that
-    segre.basepoint_free calls Free, only critical_ranges(d, box) is swept,
-    in that same order; any other verdict (HasBasepoint, or Inconclusive
-    for d1 >= 2) sweeps the whole box.
+    _free proves basepoint-free, only critical_ranges(d, box) is swept, in
+    that same order; a net with a basepoint sweeps the whole box.
 
     Why the critical ranges suffice on a basepoint-free net:
     - A phi with an empty source or an empty target has full rank.  phi1
@@ -489,7 +503,7 @@ def is_generic(sys, box=None):
     if not sys.field.is_prime_field and (img := _image(sys)) is not None \
             and _first_drop(img, box, _image_free(sys)) is None:
         return GenericityVerdict(True, tuple(box), None)
-    a = _first_drop(sys, box, _basepoint_verdict(sys).kind == "Free")
+    a = _first_drop(sys, box, _free(sys))
     return GenericityVerdict(a is None, tuple(box), a)
 
 
@@ -518,7 +532,7 @@ def _image(sys):
 
     Every strand matrix of the image (phi, the generator strand, the
     module actions) is the matching matrix of sys reduced mod p, because
-    the builders only place coefficients.  _basepoint_verdict, is_generic,
+    the builders only place coefficients.  _free, is_generic,
     h1_dim and hf_quotient here, and betti.betti_table degree by degree,
     read the image's value wherever a proof in their docstrings makes it
     the value over Q (Arnold, "Modular algorithms for computing Groebner
@@ -540,25 +554,15 @@ def _image(sys):
     return None
 
 
-@_per_system_once
 def _image_free(sys):
-    """Whether the Q system sys has an image without basepoints, by
-    segre.is_basepoint_free: the Free decision of basepoint_free without
-    its search for a witness, which nothing reads off an image.  Then sys
-    has no basepoints either.
-
-    A basepoint of sys over the algebraic closure of Q reduces to one of
-    the image: scale its coordinates on each P1 factor to be integral over
-    Z_(p), with one of them a unit, and reduce them mod a prime over p; the
-    forms are p-integral, so their reductions vanish there.  The test is
-    exact for d1 = 1.  For d1 >= 2 it is hf(3d) = 0, and hf over Q is at
-    most hf mod p (rank mod p is at most rank over Q).  An image with a
-    basepoint, or an Inconclusive one, proves nothing.
+    """Whether the Q system sys has an image without basepoints (_free of
+    the image).  Then sys has no basepoints either: the image's generator
+    strand at (3d1 - 1, 2d2 - 1) is that of sys reduced mod p, and rank
+    mod p is at most rank over Q, so the square strand of sys has full rank
+    too.  An image with a basepoint proves nothing.
     """
     img = _image(sys)
-    # segre imports this module at load time (see _basepoint_verdict)
-    from . import segre
-    return img is not None and segre.is_basepoint_free(img)
+    return img is not None and _free(img)
 
 
 def _h1_certified(sys, a):

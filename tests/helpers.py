@@ -165,8 +165,10 @@ def full_module_homology(field, a, dim, action, rank1=None):
 
 def full_betti_table(sys_, degrees, convention="IdealConvention"):
     """The Betti table by full_module_homology at every degree, and the
-    basepoint warning by a dense elimination at 3d: the reference for
-    betti.betti_table, which skips degrees where Tor is proved zero."""
+    basepoint warning by a dense elimination at 3d (hf(3d) != 0): the
+    reference for betti.betti_table, which skips degrees where Tor is
+    proved zero and reads the warning off the square strand of
+    strands._free."""
     dim, action = partial(hf_quotient, sys_), partial(_quotient_action, sys_)
     entries = {}
     for a in sorted(set(map(tuple, degrees))):

@@ -15,6 +15,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -24,8 +25,7 @@ from bigres import betti, segre, strands
 from bigres.exactcore import GF, QQ, lift_primes
 from bigres.bipoly import BiPoly, SystemF, strand_dim
 from bigres.betti import betti_table
-from bigres.strands import (_basepoint_verdict, _image, _image_free, h1_dim, hf_quotient,
-                            is_generic)
+from bigres.strands import _image, _image_free, h1_dim, hf_quotient, is_generic
 from bigres.cli import load_system
 from helpers import data_path, random_bpf_system, random_form, uncertified
 
@@ -38,7 +38,7 @@ def _answers(make, box):
     with the basepoint warning."""
     sys_ = make()
     degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]
-    return (str(_basepoint_verdict(sys_)), str(is_generic(sys_)),
+    return (str(segre.basepoint_free(sys_)), str(is_generic(sys_)),
             [h1_dim(sys_, a) for a in degrees], [hf_quotient(sys_, a) for a in degrees],
             *(betti_table(sys_, box=box, convention=c).to_text()
               for c in ("IdealConvention", "QuotientConvention")))
@@ -122,16 +122,19 @@ def test_denominator_divisible_by_the_first_prime():
 
 def test_image_with_a_basepoint_falls_back():
     # f_i = s h_i + p g_i: mod p every form vanishes on the line s = 0, while
-    # over Q the net is basepoint-free
+    # over Q the net is basepoint-free, which only the rank of the square
+    # strand over Q can tell, for d1 = 1 and for d1 >= 2
     rng = random.Random(13)
     s = BiPoly.variable(QQ, "s")
-    forms = [s * _small_form((0, 2), rng) + _small_form((1, 2), rng) * P0 for _ in range(3)]
-    make = lambda: SystemF(QQ, (1, 2), forms)
-    sys_ = make()
-    assert _image(sys_).field == GF(P0)
-    assert not _image_free(sys_)
-    assert _basepoint_verdict(sys_).kind == "Free"
-    _assert_matches_q_path(make, (4, 6))
+    for d in [(1, 2), (2, 2)]:
+        h_deg = (d[0] - 1, d[1])
+        forms = [s * _small_form(h_deg, rng) + _small_form(d, rng) * P0 for _ in range(3)]
+        make = partial(SystemF, QQ, d, forms)
+        sys_ = make()
+        assert _image(sys_).field == GF(P0)
+        assert not _image_free(sys_)
+        assert segre.basepoint_free(sys_).kind == "Free"
+        _assert_matches_q_path(make, (2 * d[0] + 2, 2 * d[1] + 2))
 
 
 def test_no_witness_search_on_the_image(monkeypatch):
@@ -151,7 +154,7 @@ def test_no_witness_search_on_the_image(monkeypatch):
     monkeypatch.setattr(segre, "binary_roots", recording)
     sys_ = make()
     assert not _image_free(sys_)
-    assert _basepoint_verdict(sys_).kind == "HasBasepoint"
+    assert segre.basepoint_free(sys_).kind == "HasBasepoint"
     _assert_matches_q_path(make, (4, 6))
     assert fields and set(fields) == {QQ}
 

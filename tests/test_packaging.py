@@ -116,3 +116,27 @@ def test_module_imports_are_read():
                     if name not in read:
                         unread.append(f"{path.name}:{node.lineno} {name}")
     assert not unread, unread
+
+
+LOWER = ("exactcore", "bipoly", "combinat", "strands", "betti")
+UPPER = {"segre", "lab", "cli"}
+
+
+def test_lower_layers_do_not_import_upper_ones():
+    # no import in a lower layer, at module level or inside a function,
+    # names segre, lab or cli: the layers import downward only, so there is
+    # no cycle to break at call time
+    upward = []
+    for path, tree in _trees(SRC / f"{name}.py" for name in LOWER):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                named = {part for alias in node.names for part in alias.name.split(".")}
+            elif isinstance(node, ast.ImportFrom):
+                named = set((node.module or "").split("."))
+                if node.module in (None, "bigres"):
+                    named |= {alias.name for alias in node.names}
+            else:
+                continue
+            if named & UPPER:
+                upward.append(f"{path.name}:{node.lineno}")
+    assert not upward, upward

@@ -1,16 +1,18 @@
 import json
 import random
 from collections import Counter
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bigres.exactcore import GF, QQ
-from bigres.bipoly import BiPoly, SystemF, split_st
-from bigres.strands import h1_dim, phi_matrices
-from bigres.betti import betti_table, hb_kernel, verify_resolution
+from bigres.exactcore import GF, QQ, mat_rank
+from bigres.bipoly import BiPoly, SystemF, gcd_binary, split_st, strand_dim, theta_matrix
+from bigres import strands
+from bigres.strands import _ring_differential, h1_dim, phi_matrices
+from bigres.betti import betti_table, cross, hb_kernel, verify_resolution
 from bigres.segre import (ConicRedirect, FactorizedBasis, ImpossibleFactorization,
                           basepoint_free, classify, conic_resolution, detect_conic,
                           extract_factorization, lift_syzygy, pencil_expected_degrees,
@@ -18,7 +20,8 @@ from bigres.segre import (ConicRedirect, FactorizedBasis, ImpossibleFactorizatio
                           three_point_resolution)
 from bigres.cli import load_system
 
-from helpers import data_path, load_json, random_bpf_system, random_form
+from helpers import (data_path, dense_quotient_kernel, load_json, random_bpf_system,
+                     random_form, uncertified)
 
 FLD = GF(32003)
 
@@ -94,8 +97,10 @@ def test_basepoint_d1_two_sided():
     s, u, v = _var("s"), _var("u"), _var("v")
     degenerate = SystemF(FLD, (2, 2), (s * s * u * u, s * s * u * v, s * s * v * v))
     verdict = basepoint_free(degenerate)
-    assert verdict.kind == "Inconclusive"
-    assert "retry" in verdict.hint
+    # the whole line s = 0 is a base locus; for d1 >= 2 no witness is searched
+    assert verdict.kind == "HasBasepoint"
+    assert verdict.witness is None and verdict.evidence is None
+    assert str(verdict) == "HasBasepoint"
 
 
 def test_basepoint_consistency():
@@ -107,6 +112,77 @@ def test_basepoint_consistency():
     bp = load_system(data_path("sys_bp.json"))
     for k in range(1, 4):
         assert hf_quotient(bp, (k, k)) >= 1
+
+
+def _identity_nets(fld, d, rng):
+    """(name, system, has_basepoint) for the nets of the square-strand test:
+    None where the construction does not decide."""
+    def form(deg, density=1.0):
+        return BiPoly.from_vector(fld, deg, [fld.rand(rng) if rng.random() < density else 0
+                                             for _ in range(strand_dim(deg))])
+
+    def net(name, make, has_basepoint):
+        for _ in range(50):
+            try:
+                return name, SystemF(fld, d, make()), has_basepoint
+            except ValueError:  # dependent or zero forms: draw again
+                continue
+        raise RuntimeError(f"no independent {name} net of degree {d}")
+
+    d1, d2 = d
+    s, t, u, v = (BiPoly.variable(fld, x) for x in "stuv")
+    nets = [net("random", lambda: [form(d) for _ in range(3)], False),
+            net("sparse", lambda: [form(d, 0.3) for _ in range(3)], None),
+            # every form vanishes at s = u = 0
+            net("rational", lambda: [s * form((d1 - 1, d2)) + t * u * form((d1 - 1, d2 - 1))
+                                     for _ in range(3)], True)]
+    if d1 >= 2:
+        nets.append(net("s+t", lambda: [(s + t) * form((d1 - 1, d2)) for _ in range(3)], True))
+    if strand_dim((d1, d2 - 2)) >= 3:  # room for three independent cofactors
+        # u^2 + v^2 has no root in Q nor in GF(32003), as 32003 = 3 mod 4
+        nets.append(net("u2+v2", lambda: [(u * u + v * v) * form((d1, d2 - 2))
+                                          for _ in range(3)], True))
+    return nets
+
+
+def _minor_gcd_free(sys_):
+    """d1 = 1: no basepoint iff the 2x2 minors of theta have a constant gcd."""
+    minors = [m for m in cross(*theta_matrix(sys_.polys)) if not m.is_zero()]
+    if not minors:
+        return False
+    g = minors[0]
+    for m in minors[1:]:
+        g = gcd_binary(g, m)
+    return g.degree[1] == 0
+
+
+def _square_full_rank(sys_, m):
+    d1 = _ring_differential(sys_, m, 1)
+    assert d1.rows == d1.cols == 6 * sys_.d[0] * sys_.d[1], m
+    return mat_rank(d1) == d1.rows
+
+
+@pytest.mark.parametrize("mode", ["GF", "QQ", "QQ-uncertified"])
+@pytest.mark.parametrize("d", [(1, 1), (1, 2), (1, 6), (2, 2), (2, 3), (3, 2)],
+                         ids=lambda d: f"{d[0]}x{d[1]}")
+def test_square_strand_decides_basepoints(d, mode):
+    # the generator strand at (3d1-1, 2d2-1) is square, and it has full rank
+    # exactly when the net has no basepoint: it agrees with the gcd of the
+    # minors (d1 = 1), with hf(3d) = 0 by a dense elimination and with the
+    # mirror strand at (2d1-1, 3d2-1), on nets built with and without one
+    fld = FLD if mode == "GF" else QQ
+    d1, d2 = d
+    with uncertified() if mode == "QQ-uncertified" else nullcontext():
+        for name, sys_, has_basepoint in _identity_nets(fld, d, random.Random(d1 * 10 + d2)):
+            full = _square_full_rank(sys_, (3 * d1 - 1, 2 * d2 - 1))
+            assert full == strands._free(sys_), name
+            assert full == (basepoint_free(sys_).kind == "Free"), name
+            if has_basepoint is not None:
+                assert full == (not has_basepoint), name
+            if d1 == 1:
+                assert full == _minor_gcd_free(sys_), name
+            assert full == (not dense_quotient_kernel(sys_, (3 * d1, 3 * d2))[1]), name
+            assert full == _square_full_rank(sys_, (2 * d1 - 1, 3 * d2 - 1)), name
 
 
 # ------------------------------------------------------------ conic detection

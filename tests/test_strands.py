@@ -11,8 +11,8 @@ import pytest
 from bigres.exactcore import GF, QQ, ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
 from bigres.bipoly import BiPoly, SystemF, mul_matrix, strand_dim
 from bigres.combinat import chi, cod, dom, nd
-from bigres import segre, strands
-from bigres.segre import BasepointVerdict, basepoint_free
+from bigres import strands
+from bigres.segre import basepoint_free
 from bigres.strands import (VAR_DEGREES, _h1_action, _inverse_block, _koszul_differential,
                             _koszul_spots, _phi_kernels, _phi_spaces, _quotient_action,
                             _quotient_kernel, _ring_differential, critical_ranges, h1_dim,
@@ -282,9 +282,8 @@ def test_is_generic_matches_full_box_oracle_on_data(name):
 
 @pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=ORACLE_IDS, indirect=True)
 def test_is_generic_matches_full_box_oracle_on_sparse_nets(fld):
-    # sparse nets drop rank often, with and without basepoints, and for
-    # d1 >= 2 the basepoint test may be inconclusive; whatever the branch,
-    # the verdict and witness are the full sweep's
+    # sparse nets drop rank often, with and without basepoints; whatever
+    # the branch, the verdict and witness are the full sweep's
     rng = random.Random(71)
     seen = Counter()
     for d in [(1, 2), (1, 3), (2, 2)]:
@@ -363,7 +362,7 @@ def test_is_generic_sweeps_the_box_on_nets_with_basepoints(vecs, witness, monkey
     assert str(verdict) == f"NotGeneric(witness {witness})"
     assert verdict == full_box_generic(sys_)
     assert witness not in critical_ranges((1, 2), verdict.box)
-    monkeypatch.setattr(segre, "basepoint_free", lambda _: BasepointVerdict("Free"))
+    monkeypatch.setattr(strands, "_free", lambda _: True)
     assert is_generic(_net_1_2(vecs)).witness != witness
 
 
