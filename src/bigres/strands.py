@@ -460,7 +460,9 @@ def is_generic(sys, box=None):
     any box that cannot.  Degrees are swept a1 outer, a2 inner, and the
     first one where phi1 or phi2 drops rank is the witness.  On a net that
     _free proves basepoint-free, only critical_ranges(d, box) is swept, in
-    that same order; a net with a basepoint sweeps the whole box.
+    that same order; a net with a basepoint sweeps the whole box.  Either
+    sweep runs only after a degree of _frontier(d, box, free) drops rank:
+    full rank at those few degrees is full rank on the whole sweep.
 
     Why the critical ranges suffice on a basepoint-free net:
     - A phi with an empty source or an empty target has full rank.  phi1
@@ -487,37 +489,104 @@ def is_generic(sys, box=None):
     a basepoint H1 has no such model and drops outside the strips do occur
     (the tests hold a (1,2) net over GF(32003) with witness (3, 0)).
 
-    Over Q a sweep of the image without a drop proves sys GenericOnBox.
+    Why the frontier decides the sweep.  Take strip 1 of the sweep: a1 >=
+    3d1 and rows a2 from the first row the sweep visits there (d2 on a
+    Free net, 0 otherwise; below it a free net has full rank by the proof
+    above) up to min(2d2 - 2, box2).  Outside the two strips phi1 and phi2
+    are empty.  Write k = a1 - 3d1; phi2 is empty on the strip.  The mirror
+    strip (a2 >= 3d2, phi2) is the same with the axes swapped.
+    - Along k.  At a fixed a2, phi1 is the degree-k strand of a map of
+      free K[s,t]-modules, the source generated in degree 0 and the target
+      in degree d1.  If phi1 x = 0 in degree k - 1, then phi1 (s x) = 0 in
+      degree k, and s x != 0.  So injective at k implies injective below
+      k.  The target in degree k + 1 is spanned by s and t times the target
+      in degree k, so onto at k implies onto above k.
+    - Along a2.  At a fixed k, phi1 acts on inverse forms of order m =
+      3d2 - a2 - 2 in E = K[u^-1, v^-1], the injective hull of K as a
+      K[u,v]-module (Macaulay's inverse system; Bruns and Herzog,
+      Cohen-Macaulay Rings, 3.2), and it commutes with contraction by u and
+      v.  Raising a2 by one lowers the order on both sides by one, and
+      contraction by u maps order m onto order m - 1.  So onto at a2
+      implies onto at every larger a2.  A nonzero inverse form keeps a
+      nonzero contraction of every lower order, since contraction by a
+      monomial sends distinct inverse monomials to distinct ones or to 0,
+      and monomials do not cancel.  So injective at a2 implies injective
+      at every smaller a2.
+    - Shape.  cols / rows = (k+1)(3d2-a2-1) / (3(k+d1+1)(2d2-a2-1)) grows
+      in k and in a2.  So the degrees where cols <= rows, where full rank
+      means injective, form a down-set of the strip, and the rest, where
+      cols > rows and full rank means onto, form an up-set.
+    Full rank at the maximal points of the down-set and at the minimal
+    points of the up-set (_frontier, at most two degrees per k) therefore
+    gives full rank on the whole strip.  A drop there makes the sweep run,
+    in the order above, to name the first witness.
+
+    Over Q full rank of the image at its frontier proves sys GenericOnBox.
     The image's phi matrices are those of sys reduced mod p, and a matrix
     over Z_(p) has rank mod p at most its rank over Q, so a phi of full
-    rank mod p has full rank over Q.  The image's sweep covers the whole
-    box (on an image that _image_free proves Free, by the proof above), so
-    the sweep over Q would find no drop either.  A drop of the image proves
-    nothing: the sweep over Q runs as on any system, and finds the witness
-    over Q.
+    rank mod p has full rank over Q.  The image's frontier decides the
+    whole box (on an image that _image_free proves Free, by the proofs
+    above), so the sweep over Q would find no drop either.  A drop of the
+    image proves nothing, and the image is not swept: sys goes through
+    _first_drop as any system does, and finds the witness over Q.
     """
     d1, d2 = sys.d
     if box is None:
         box = (4 * d1, 4 * d2)
     check_box(sys.d, box)
     if not sys.field.is_prime_field and (img := _image(sys)) is not None \
-            and _first_drop(img, box, _image_free(sys)) is None:
+            and all(_full_rank(img, a) for a in _frontier(sys.d, box, _image_free(sys))):
         return GenericityVerdict(True, tuple(box), None)
     a = _first_drop(sys, box, _free(sys))
     return GenericityVerdict(a is None, tuple(box), a)
 
 
+def _full_rank(sys, a):
+    """Whether phi1 and phi2 both have full rank at a."""
+    return all(k.full_rank for k in _phi_kernels(sys, a))
+
+
+def _frontier(d, box, free):
+    """The degrees of box whose phi ranks decide is_generic, in sweep order:
+    in each critical strip, the maximal degrees where its phi has no more
+    columns than rows and the minimal ones where it has more (see
+    is_generic).  A strip's rows start where the sweep starts them: at d2
+    (or d1) on a Free net, at 0 otherwise."""
+    out = set()
+    for i, j in ((0, 1), (1, 0)):  # phi1 along a1, phi2 along a2
+        rows = range(d[j] if free else 0, min(2 * d[j] - 2, box[j]) + 1)
+        ks = range(box[i] - 3 * d[i] + 1)
+
+        def at(k, r):
+            return (3 * d[0] + k, r) if i == 0 else (r, 3 * d[1] + k)
+
+        def excess(k, r):  # cols - rows of the strip's phi
+            src, tgt = _phi_spaces(d, at(k, r))[i]
+            return src.dim - 3 * tgt.dim
+
+        # top[k + 1]: the last row of column k where cols <= rows; above it
+        # cols > rows.  top[k + 1] is nonincreasing in k.
+        top = [rows.stop - 1] + [max((r for r in rows if excess(k, r) <= 0),
+                                     default=rows.start - 1) for k in ks] + [rows.start - 1]
+        for k in ks:
+            if top[k + 1] > top[k + 2]:
+                out.add(at(k, top[k + 1]))
+            if top[k + 1] < top[k]:
+                out.add(at(k, top[k + 1] + 1))
+    return sorted(out)
+
+
 def _first_drop(sys, box, free):
     """The first degree of the is_generic sweep of box where phi1 or phi2
-    drops rank, None if there is none; free sweeps only critical_ranges."""
+    drops rank, None if there is none; free sweeps only critical_ranges.
+    Nothing is swept unless a degree of _frontier drops rank."""
+    if all(_full_rank(sys, a) for a in _frontier(sys.d, box, free)):
+        return None
     if free:
         degrees = critical_ranges(sys.d, box)
     else:
         degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]
-    for a in degrees:
-        if not all(k.full_rank for k in _phi_kernels(sys, a)):
-            return a
-    return None
+    return next(a for a in degrees if not _full_rank(sys, a))
 
 
 # ---------------------------------------------- Q answers from one GF(p) image
@@ -581,7 +650,7 @@ def _h1_certified(sys, a):
         return False
     if _image_free(sys) and not _is_critical(sys.d, a):
         return True
-    return all(k.full_rank for k in _phi_kernels(img, a))
+    return _full_rank(img, a)
 
 
 def _hf_certified(sys, a):

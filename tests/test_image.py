@@ -213,3 +213,22 @@ def test_rank_drops_outside_the_strips_on_nets_with_basepoints(vecs, witness):
     assert str(is_generic(sys_)) == f"NotGeneric(witness {witness})"
     assert h1_dim(sys_, witness) > strands._full_rank_h1((1, 2), witness)
     _assert_matches_q_path(make, (4, 8))
+
+
+def test_nongeneric_image_is_not_swept():
+    # forms sharing u^2 + v^2 drop rank mod p wherever they do over Q; the
+    # image only tells whether its frontier drops, and the sweep for the
+    # witness runs over Q alone
+    rng = random.Random(17)
+    u, v = BiPoly.variable(QQ, "u"), BiPoly.variable(QQ, "v")
+    forms = [(u * u + v * v) * _small_form((1, 4), rng) for _ in range(3)]
+    make = lambda: SystemF(QQ, (1, 6), forms)
+    sys_ = make()
+    verdict = is_generic(sys_)
+    assert str(verdict) == "NotGeneric(witness (3, 0))"
+    img = _image(sys_)
+    seen = sorted(key[1] for key in strands._store[img] if key[0] == "_phi_kernels")
+    # the frontier up to its first drop, where the image stops
+    assert seen == strands._frontier((1, 6), verdict.box, False)[:len(seen)]
+    assert not strands._full_rank(img, seen[-1])
+    _assert_matches_q_path(make, (4, 8))

@@ -140,3 +140,11 @@ def test_lower_layers_do_not_import_upper_ones():
             if named & UPPER:
                 upward.append(f"{path.name}:{node.lineno}")
     assert not upward, upward
+
+
+def test_no_numpy_set_routines():
+    # np.unique and the *1d set routines import numpy.ma on first call
+    # (numpy 2.4), about 1 MB of peak memory on a short run; np.isin does not
+    sites = _named_in(SRC.glob("*.py"),
+                      ("unique", "union1d", "intersect1d", "setdiff1d", "setxor1d"))
+    assert not any(sites.values()), sites

@@ -301,6 +301,66 @@ def test_is_generic_matches_full_box_oracle_on_sparse_nets(fld):
     assert seen[True, False] and seen[False, False], seen
 
 
+def _transpose(sys_, fld):
+    """The net with the roles of (s,t) and (u,v) swapped, over fld."""
+    d = sys_.d[::-1]
+    return SystemF(fld, d, [BiPoly(fld, d, {(c, e, a, b): int(v)
+                                            for (a, b, c, e), v in f.coeffs.items()})
+                            for f in sys_.polys])
+
+
+@pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=ORACLE_IDS, indirect=True)
+def test_is_generic_finds_a_first_drop_in_the_mirror_strip(fld):
+    # the transpose of sys_maps6 is a Free (6,1) net; its first drop (6,3)
+    # lies in the mirror strip a2 >= 3d2, where phi2 is eliminated, and is
+    # not a frontier degree
+    sys_ = _transpose(maps6_system(), fld)
+    assert basepoint_free(sys_).kind == "Free"
+    assert strands._frontier((6, 1), (24, 4), True) == [(9, 4), (10, 3)]
+    verdict = is_generic(sys_)
+    assert str(verdict) == "NotGeneric(witness (6, 3))"
+    assert verdict == full_box_generic(sys_)
+
+
+def test_is_generic_matches_full_box_oracle_on_sparse_nets_mod_7():
+    # over GF(7) sparse nets drop rank often, inside and outside the
+    # frontier, with and without basepoints
+    fld, rng, seen = GF(7), random.Random(7), Counter()
+    for d in [(1, 2), (1, 3), (2, 1), (2, 2)]:
+        for _ in range(24):
+            vecs = [[fld.rand(rng) if rng.random() < 0.5 else 0
+                     for _ in range(strand_dim(d))] for _ in range(3)]
+            try:
+                sys_ = SystemF(fld, d, [BiPoly.from_vector(fld, d, v) for v in vecs])
+            except ValueError:
+                continue
+            want = full_box_generic(sys_)
+            assert is_generic(sys_) == want, (d, vecs)
+            seen[basepoint_free(sys_).kind == "Free", want.generic] += 1
+    assert len(seen) == 4, seen
+
+
+def test_frontier_frozen():
+    # strip 1 of (1,42) on the default box: k = a1 - 3 in {0, 1}, rows 42..82;
+    # phi1 has at most as many columns as rows up to a2 = 74 at k = 0 and up
+    # to 71 at k = 1, and more above; the mirror strip has no rows
+    assert strands._frontier((1, 42), (4, 168), True) == [(3, 74), (3, 75), (4, 71), (4, 72)]
+    assert strands._frontier((1, 6), (4, 24), True) == [(3, 10), (4, 9)]
+    # on a net with a basepoint the rows start at 0, in both strips
+    assert strands._frontier((1, 2), (4, 8), False) == [(0, 8), (4, 2)]
+    assert strands._frontier((1, 1), (4, 4), True) == []
+
+
+def test_is_generic_eliminates_phi_only_at_the_frontier():
+    # on a generic net full rank at the 2 frontier degrees decides the 10
+    # critical ones; no other phi pair is eliminated
+    sys_ = random_bpf_system(FLD, (1, 6), random.Random(16))
+    assert is_generic(sys_).generic
+    assert len(critical_ranges((1, 6), (4, 24))) == 10
+    assert sorted(key[1] for key in strands._store[sys_]
+                  if key[0] == "_phi_kernels") == [(3, 10), (4, 9)]
+
+
 def test_h1_vanishes_outside_support_region():
     rng = random.Random(77)
     for d in [(1, 2), (2, 2)]:
