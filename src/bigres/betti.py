@@ -10,10 +10,10 @@ Both routes read the per-system strand store of strands, which owns every
 elimination and every module action, and both exploit the identity pattern
 of echelonized kernel bases.  Quotient strands come from the record of the
 kernel of d_1^T, the inverse system of I at that degree, which
-strands._quotient_kernel builds by recursion on the degree without
-eliminating d_1^T: its free monomials are the quotient basis, and row m of
-its kernel matrix holds the R/I coordinates of monomial m, so multiplication
-by a variable is a row lookup, not a solve.  H1 strands come from the phi
+strands._quotient_kernel builds by recursion on the degree, eliminating
+d_1^T only where it is thin: its free monomials are the quotient basis, and
+row m of its kernel matrix holds the R/I coordinates of monomial m, so
+multiplication by a variable is a row lookup, not a solve.  H1 strands come from the phi
 kernel records: coordinates of a kernel vector are its entries at the free
 columns.  The variable actions on both modules are store records too
 (strands._quotient_action and strands._h1_action), built once per system.
@@ -37,7 +37,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
-from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
+from .exactcore import (ExactMatrix, _free_columns, kernel_data, mat_from_blocks, mat_mul,
+                        mat_rank, rref)
 from .bipoly import BiPoly, gcd_binary, mul_matrix, strand_dim, theta_matrix
 from . import strands
 from .strands import (VAR_DEGREES, _h1_action, _koszul_spots, _quotient_action, h1_dim,
@@ -46,26 +47,47 @@ from .strands import (VAR_DEGREES, _h1_action, _koszul_spots, _quotient_action, 
 
 # --------------------------------------------------------------- Betti tables
 
-def _koszul_module_homology(field, a, dim, action, rank1=None):
+def _koszul_module_homology(field, a, dim, action, cyclic=False):
     """Homology dims (H_0..H_4) at degree a of the variable Koszul complex
     on a module with strand dims dim(b) and actions action(b, xi) of the
     variables; strands._koszul_differential builds each differential.  Each
-    spot degree's dim is read once.  Nothing proved zero is built:
+    spot degree's dim is read once, in ascending order of the degree, so a
+    module whose records are built by recursion on the degree (R/I, see
+    strands._quotient_kernel) fills them from the bottom up.  Nothing
+    proved zero is built, and no rank is taken on more rows than it needs:
     - (D) a differential whose source or target is empty is the zero map,
       of rank 0, so it is not built;
     - (A) hence, if every spot dim is 0, nothing is built and the homology
       is (0,0,0,0,0): every term of the complex is 0.  This holds for any
       module, R/I and H1 alike;
-    - (C) rank1, when given, is the rank of d_1, proved by the caller.
+    - (C) when cyclic, the module is generated by one element of degree
+      (0,0), as R/I is, and rank d_1 = dim(a) - [a = (0,0)] (see
+      betti_table); dim(a) comes from the same ascending pass;
+    - (E) rank d_(j+1) is the rank of its rows at the free columns F of
+      d_j, when d_j was eliminated.  The columns of d_(j+1) lie in ker d_j,
+      and a vector of ker d_j is fixed by its entries at F (kernel_data's
+      identity pattern), so restricting to the rows F is injective on the
+      column space of d_(j+1).  It keeps every linear relation among the
+      columns, hence the rank and the free columns of d_(j+1), which carry
+      on to d_(j+2).  With F empty, ker d_j = 0, so d_(j+1) = 0 and is not
+      built; under (C) d_1 is not eliminated and d_2 keeps all its rows.
     """
     spots = [_koszul_spots(VAR_DEGREES, a, j) for j in range(5)]
-    dim_at = {b: dim(b) for group in spots for _, b in group}
+    dim_at = {b: dim(b) for b in sorted({b for group in spots for _, b in group})}
     dims = [sum(dim_at[b] for _, b in group) for group in spots]
-    ranks = [0] + [rank1 if j == 1 and rank1 is not None
-                   else 0 if not (dims[j - 1] and dims[j])
-                   else mat_rank(strands._koszul_differential(field, VAR_DEGREES, a, j,
-                                                              dim_at.__getitem__, action))
-                   for j in range(1, 5)] + [0]
+    ranks = [0] * 6
+    rows = None  # the rows of d_j that (E) keeps, the free columns of d_(j-1); None: all
+    for j in range(1, 5):
+        if j == 1 and cyclic:
+            ranks[1] = dims[0] - (a == (0, 0))
+            continue
+        piv = ()
+        if dims[j] and (dims[j - 1] if rows is None else len(rows)):
+            m = strands._koszul_differential(field, VAR_DEGREES, a, j, dim_at.__getitem__,
+                                             action).data
+            piv = rref(ExactMatrix(field, m if rows is None else m[rows]))[1]
+        ranks[j] = len(piv)
+        rows = _free_columns(dims[j], piv) if piv else None
     return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(5))
 
 
@@ -154,8 +176,7 @@ def _tor(sys, a):
     """Homology dims (H_0..H_4) of the variable Koszul complex on R/I at a,
     with rank d_1 given by rule C of betti_table."""
     return _koszul_module_homology(sys.field, a, partial(hf_quotient, sys),
-                                   partial(_quotient_action, sys),
-                                   hf_quotient(sys, a) - (a == (0, 0)))
+                                   partial(_quotient_action, sys), cyclic=True)
 
 
 def _image_tor(sys, a):

@@ -296,7 +296,11 @@ def _rref_prime(a, p):
         pc = []
         swaps = []
         k = 0
-        for j in range(w):
+        # P is reduced here, so one any() finds the zero columns, and they
+        # are skipped: a zero column stays zero, as swaps permute its
+        # entries and each rank-one update adds to it the pivot column times
+        # its own entry in the pivot row, which is zero.
+        for j in np.flatnonzero(P.any(axis=1)).tolist():
             col = P[j, k:]
             if j:
                 red(col)

@@ -34,15 +34,18 @@ the quotient it is the kernel of the transposed generator strand d_1^T,
 the inverse system V_b = (I_b)^perp of I at that degree, whose free
 monomials span R/I there.
 
-That record is not eliminated from d_1^T, a matrix of dim R_b x 3 dim
-R_(b-d).  _quotient_kernel builds V_b from V_(b-e) and V_(b-2e), e = (1,0)
-or (0,1), by the integration method for dual bases (Mourrain, "Isolated
-points, duality and residues", JPAA 1997; Marinari, Moeller and Mora,
-"Groebner bases of ideals defined by functionals", 1993): a functional lies
-in V_b when its contractions by the two variables of degree e lie in
-V_(b-e) and agree on R_(b-2e).  Each step eliminates an hf(b-2e) x
-2 hf(b-e) matrix and, to put V_b in the form of kernel_data, one
-hf(b) x dim R_b matrix; only at b = d is [f0 f1 f2] eliminated.
+Off one edge that record is not eliminated from d_1^T, a matrix of 3 dim
+R_(b-d) x dim R_b.  _quotient_kernel builds V_b from V_(b-e) and
+V_(b-2e), with e the unit vector of the axis i of the smaller degree d_i,
+by the integration method for dual bases (Mourrain, "Isolated points,
+duality and residues", JPAA 1997; Marinari, Moeller and Mora, "Groebner
+bases of ideals defined by functionals", 1993): a functional lies in V_b
+when its contractions by the two variables of degree e lie in V_(b-e) and
+agree on R_(b-2e).  Each step eliminates an hf(b-2e) x 2 hf(b-e) matrix
+and, to put V_b in the form of kernel_data, one hf(b) x dim R_b matrix.
+On the edge b_i = d_i, d_1^T has only 3 (b_j - d_j + 1) rows, and [f0 f1
+f2] is eliminated there directly, unless the record one step down the edge
+is stored already; then the step runs along the edge (see _step).
 """
 
 from __future__ import annotations
@@ -233,49 +236,75 @@ def _free(sys):
 
 def _quotient_kernel(sys, b):
     """kernel_data of d_1^T at b, with d_1 = [f0 f1 f2] into R_b: the one
-    place the inverse system V_b = (I_b)^perp is computed, by recursion on b
-    rather than by eliminating d_1^T.
+    place the inverse system V_b = (I_b)^perp is computed, mostly by
+    recursion on b rather than by eliminating d_1^T.
 
     Its free columns are the quotient basis monomials of (R/I)_b, and row m
     of its kernel matrix holds the R/I coordinates of monomial m.  That
     record depends on V_b alone (see _inverse_system), so the recursion
-    returns exactly what kernel_data(d_1^T) would.
+    returns exactly what kernel_data(d_1^T) would, whichever route built it
+    and in whatever order the degrees were asked for.
 
-    Each step reads the records at b - e and b - 2e, and the chain of steps
-    runs down to (d1, d2).  The chain is walked down to a stored record or a
-    base case and then filled from the bottom up, so the call depth does not
-    grow with b; every record on it stays in the store of sys.
+    Each step reads the records at b - e and b - 2e (see _step).  The chain
+    of steps is walked down to a stored record or a base case and then
+    filled from the bottom up, so the call depth does not grow with b;
+    every record on it stays in the store of sys.  The chain runs along the
+    axis i of the smaller degree d_i down to the edge b_i = d_i, where the
+    record is eliminated directly from the thin strand d_1^T, unless the
+    record one step down the edge is stored already; so a cold query at b
+    costs b_i - d_i steps and one thin elimination, not a walk down to d.
     """
-    recs = _store.setdefault(sys, {})
-    chain = [("_quotient_kernel", tuple(b))]
-    while chain[-1] not in recs and (e := _step(sys.d, chain[-1][1])):
-        c = chain[-1][1]
-        chain.append(("_quotient_kernel", (c[0] - e[0], c[1] - e[1])))
-    for key in reversed(chain):
-        if key not in recs:
-            recs[key] = _inverse_system(sys, key[1])
-    return recs[chain[0]]
+    recs, b = _store.setdefault(sys, {}), tuple(b)
+    chain = [(b, _step(sys.d, b, recs))]
+    while ("_quotient_kernel", chain[-1][0]) not in recs and (e := chain[-1][1]):
+        c = (chain[-1][0][0] - e[0], chain[-1][0][1] - e[1])
+        chain.append((c, _step(sys.d, c, recs)))
+    for c, e in reversed(chain):
+        if ("_quotient_kernel", c) not in recs:
+            recs["_quotient_kernel", c] = _inverse_system(sys, c, e)
+    return recs["_quotient_kernel", b]
 
 
 VAR_DEGREES = ((1, 0), (1, 0), (0, 1), (0, 1))
 VAR_EXPONENTS = np.eye(4, dtype=np.int64)  # rows s, t, u, v
 
 
-def _step(d, b):
-    """The direction e of the recursion step at b: (1,0) while b1 > d1,
-    then (0,1); None at the base cases b1 < d1, b2 < d2 and b = d."""
-    if b[0] < d[0] or b[1] < d[1] or b == d:
+def _step(d, b, recs):
+    """The direction e of the recursion step at b, None at a base case.
+
+    The step runs along the axis i of the smaller degree d_i (i = 0 on a
+    tie): e is the unit vector of i while b_i > d_i.  On the edge b_i = d_i
+    it is the unit vector of the other axis j when the record at b minus
+    that vector is in recs, the store of the system, and b_j > d_j; else b
+    is a base case, as is every b with b1 < d1 or b2 < d2.
+
+    Why the edge is a base case.  There d_1^T has 3 dim R_(b-d) = 3 (b_j -
+    d_j + 1) rows, so one thin elimination builds the record and needs no
+    other record, while a walk along the edge needs every record down to d.
+    A full sweep of a box reaches each edge record after the one below it,
+    so it keeps walking the edge one cheap step at a time.
+    """
+    if b[0] < d[0] or b[1] < d[1]:
         return None
-    return (1, 0) if b[0] > d[0] else (0, 1)
+    i = 0 if d[0] <= d[1] else 1
+    j = 1 - i
+    if b[i] > d[i]:
+        return (j, i)
+    if b[j] > d[j] and ("_quotient_kernel", (b[0] - i, b[1] - j)) in recs:
+        return (i, j)
+    return None
 
 
-def _inverse_system(sys, b):
+def _inverse_system(sys, b, e):
     """The record of _quotient_kernel at b, built from those at b - e and
-    b - 2e, with e = _step(sys.d, b) and (x0, x1) = (s, t) or (u, v).
+    b - 2e, with e the step of _step at b and (x0, x1) = (s, t) or (u, v).
 
-    * Base cases.  Below d in either coordinate I_b = 0, so V_b = R_b^*:
-      the identity record (0 x 0 at a negative b).  At b = d the record is
-      kernel_data of the transposed generator strand, 3 x dim R_d.
+    * Base cases (e None).  Below d in either coordinate I_b = 0, so V_b =
+      R_b^*: the identity record (0 x 0 at a negative b).  On the edge b_i =
+      d_i of _step (b = d among them) the record is kernel_data of the
+      transposed generator strand, 3 (b_j - d_j + 1) x dim R_b, which is
+      the record by its definition: one thin elimination, and no other
+      record is read.
     * Step.  I_b = x0 I_(b-e) + x1 I_(b-e), so a functional lambda on R_b
       lies in V_b exactly when mu = x0 o lambda and nu = x1 o lambda (the
       contractions, (x o lambda)(m) = lambda(x m)) both lie in V_(b-e).  By
@@ -297,11 +326,10 @@ def _inverse_system(sys, b):
       kernel_data(d_1^T) returns.
     """
     field, d, n = sys.field, sys.d, strand_dim(b)
-    e = _step(d, b)
     if e is None:
         if b[0] < d[0] or b[1] < d[1]:
             return ExactMatrix.identity(field, n), tuple(range(n))
-        return kernel_data(ExactMatrix(field, _ring_differential(sys, d, 1).data.T))
+        return kernel_data(ExactMatrix(field, _ring_differential(sys, b, 1).data.T))
     xs = VAR_EXPONENTS[[0, 1] if e == (1, 0) else [2, 3]]  # rows x0, x1
     b_e = (b[0] - e[0], b[1] - e[1])
     b_2e = (b_e[0] - e[0], b_e[1] - e[1])

@@ -263,7 +263,9 @@ def _kernel_cases(p, rng):
              ("tall 300x40", dense(300, 40), 40),
              ("wide 40x300", dense(40, 300), 300),
              ("rank 20 of 120x150", product(120, 150, 20), 150),
-             ("rank 70 of 100x90", product(100, 90, 70), 90)]
+             ("rank 70 of 100x90", product(100, 90, 70), 90),
+             # every panel after the first starts out zero below the pivots
+             ("wide rank 12 of 40x200", product(40, 200, 12), 200)]
     rows = dense(60, 80)
     for c in rng.sample(range(80), 25):
         for row in rows:

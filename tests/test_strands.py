@@ -466,20 +466,25 @@ def test_hf_quotient_edges():
     assert hf_quotient(sys_, (3, 3)) == 0
 
 
-def _assert_records_equal(sys_, box):
+def _assert_records_equal(sys_, box, order="ascending"):
     # the recursion must return the very record of the dense elimination:
-    # the same free monomials and the same kernel array, entry for entry
+    # the same free monomials and the same kernel array, entry for entry,
+    # whatever the order of the queries (ascending fills each chain from
+    # the bottom, descending starts every chain cold)
     scalar = int if sys_.field.is_prime_field else Fraction
-    for a1 in range(-1, box[0] + 1):
-        for a2 in range(-1, box[1] + 1):
-            (got, free), (want, want_free) = (_quotient_kernel(sys_, (a1, a2)),
-                                              dense_quotient_kernel(sys_, (a1, a2)))
-            assert free == want_free, (a1, a2)
-            assert got.data.dtype == want.data.dtype, (a1, a2)
-            assert got.data.shape == want.data.shape, (a1, a2)
-            rows = got.data.tolist()
-            assert rows == want.data.tolist(), (a1, a2)
-            assert all(type(x) is scalar for row in rows for x in row), (a1, a2)
+    degrees = [(a1, a2) for a1 in range(-1, box[0] + 1) for a2 in range(-1, box[1] + 1)]
+    if order == "descending":
+        degrees.reverse()
+    elif order == "shuffled":
+        random.Random(65).shuffle(degrees)
+    for a in degrees:
+        (got, free), (want, want_free) = _quotient_kernel(sys_, a), dense_quotient_kernel(sys_, a)
+        assert free == want_free, a
+        assert got.data.dtype == want.data.dtype, a
+        assert got.data.shape == want.data.shape, a
+        rows = got.data.tolist()
+        assert rows == want.data.tolist(), a
+        assert all(type(x) is scalar for row in rows for x in row), a
 
 
 @pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
@@ -495,18 +500,72 @@ def test_quotient_kernel_matches_dense_oracle_on_data(name):
     _assert_records_equal(sys_, (3 * sys_.d[0] + 3, 3 * sys_.d[1] + 3))
 
 
+def _common_factor_net(fld):
+    """A (1,2) net whose forms share a (0,1) factor."""
+    rng = random.Random(61)
+    common = random_form(fld, (0, 1), rng)
+    return SystemF(fld, (1, 2), [common * random_form(fld, (1, 1), rng) for _ in range(3)])
+
+
+def _over(sys_, fld):
+    """The net sys_, whose coefficients are integers, over fld."""
+    return SystemF(fld, sys_.d, [BiPoly(fld, sys_.d, {e: int(v) for e, v in f.coeffs.items()})
+                                 for f in sys_.polys])
+
+
 def test_quotient_kernel_matches_dense_oracle_with_common_factor():
     # the recursion assumes nothing of the system: a common (0,1) factor
     # leaves R/I infinite-dimensional and V_b nonzero in every degree
-    fld, rng = GF(101), random.Random(61)
-    common = random_form(fld, (0, 1), rng)
-    sys_ = SystemF(fld, (1, 2), [common * random_form(fld, (1, 1), rng) for _ in range(3)])
+    sys_ = _common_factor_net(GF(101))
     assert hf_quotient(sys_, (9, 12)) > 0
     _assert_records_equal(sys_, (6, 9))
 
 
+_ORDER_NETS = {
+    "(1,3)": lambda fld: random_system(fld, (1, 3), random.Random(63)),
+    "(3,1)": lambda fld: _transpose(random_system(fld, (1, 3), random.Random(63)), fld),
+    "(2,3)": lambda fld: random_system(fld, (2, 3), random.Random(64)),
+    "sys_bp": lambda fld: _over(load_system(data_path("sys_bp.json")), fld),
+    "common factor": _common_factor_net,
+}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("net", list(_ORDER_NETS))
+@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+def test_quotient_kernel_is_independent_of_query_order(fld, net, order):
+    # a cold query eliminates the edge b_i = d_i directly, a warm one steps
+    # along it; both give the record of the dense elimination, so it cannot
+    # depend on which degrees were asked for first
+    sys_ = _ORDER_NETS[net](fld)
+    _assert_records_equal(sys_, (3 * sys_.d[0] + 3, 3 * sys_.d[1] + 3), order)
+
+
+def _quotient_records(sys_):
+    """The _quotient_kernel records stored for sys_, and for its image over Q."""
+    systems = [sys_] if sys_.field.is_prime_field else [sys_, strands._image(sys_)]
+    return [key for s in systems if s is not None for key in strands._store.get(s, {})
+            if key[0] == "_quotient_kernel"]
+
+
+@pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=ORACLE_IDS, indirect=True)
+def test_cold_quotient_query_eliminates_the_edge(fld):
+    # a cold hf at (3,36) steps twice along a1 and eliminates the thin
+    # strand on the edge a1 = 1; a walk down the edge to d = (1,12) would
+    # store about 30 records.  The transpose steps along a2.  hf is 0 at
+    # (3,36) and 3 at (3,20).
+    for b, transpose in [((3, 36), False), ((3, 36), True), ((3, 20), False), ((3, 20), True)]:
+        sys_ = random_bpf_system(fld, (1, 12), random.Random(66))
+        if transpose:
+            sys_, b = _transpose(sys_, fld), b[::-1]
+        assert hf_quotient(sys_, b) == len(dense_quotient_kernel(sys_, b)[1])
+        assert len(_quotient_records(sys_)) <= 8, b
+
+
 def test_quotient_kernel_deep_chain():
-    # the chain from (2, 600) down to d = (1,1) is 600 steps long; it is
-    # filled from the bottom up, not by one nested call per step
+    # the chain from (600, 2) down to the edge a1 = d1 of d = (1,1) is 599
+    # steps along a1; it is filled from the bottom up, not by one nested
+    # call per step
     sys_ = random_bpf_system(FLD, (1, 1), random.Random(62))
-    assert hf_quotient(sys_, (2, 600)) == len(dense_quotient_kernel(sys_, (2, 600))[1])
+    assert hf_quotient(sys_, (600, 2)) == len(dense_quotient_kernel(sys_, (600, 2))[1])
+    assert len(_quotient_records(sys_)) >= 599
