@@ -47,7 +47,7 @@ from .strands import (VAR_DEGREES, _h1_action, _koszul_spots, _quotient_action, 
 
 # --------------------------------------------------------------- Betti tables
 
-def _koszul_module_homology(field, a, dim, action, cyclic=False):
+def _koszul_module_homology(field, a, dim, action, ideal_degree=None):
     """Homology dims (H_0..H_4) at degree a of the variable Koszul complex
     on a module with strand dims dim(b) and actions action(b, xi) of the
     variables; strands._koszul_differential builds each differential.  Each
@@ -60,9 +60,12 @@ def _koszul_module_homology(field, a, dim, action, cyclic=False):
     - (A) hence, if every spot dim is 0, nothing is built and the homology
       is (0,0,0,0,0): every term of the complex is 0.  This holds for any
       module, R/I and H1 alike;
-    - (C) when cyclic, the module is generated by one element of degree
-      (0,0), as R/I is, and rank d_1 = dim(a) - [a = (0,0)] (see
-      betti_table); dim(a) comes from the same ascending pass;
+    - (C) when ideal_degree is given, the module is R/I with I minimally
+      generated by three forms of that degree d, and rank d_1 = dim(a) -
+      [a = (0,0)] (see betti_table); dim(a) comes from the same ascending
+      pass;
+    - (F) then also rank d_2 = dims[1] - rank d_1 - 3 [a = d], as H_1 is
+      (I/mI)_a (see betti_table); so on R/I neither d_1 nor d_2 is built;
     - (E) rank d_(j+1) is the rank of its rows at the free columns F of
       d_j, when d_j was eliminated.  The columns of d_(j+1) lie in ker d_j,
       and a vector of ker d_j is fixed by its entries at F (kernel_data's
@@ -70,17 +73,20 @@ def _koszul_module_homology(field, a, dim, action, cyclic=False):
       column space of d_(j+1).  It keeps every linear relation among the
       columns, hence the rank and the free columns of d_(j+1), which carry
       on to d_(j+2).  With F empty, ker d_j = 0, so d_(j+1) = 0 and is not
-      built; under (C) d_1 is not eliminated and d_2 keeps all its rows.
+      built.  On R/I, d_3 is the first differential eliminated and keeps
+      all its rows, so (E) restricts rows from d_4 on.
     """
     spots = [_koszul_spots(VAR_DEGREES, a, j) for j in range(5)]
     dim_at = {b: dim(b) for b in sorted({b for group in spots for _, b in group})}
     dims = [sum(dim_at[b] for _, b in group) for group in spots]
     ranks = [0] * 6
+    first = 1  # the first differential to eliminate
+    if ideal_degree is not None:
+        ranks[1] = dims[0] - (a == (0, 0))
+        ranks[2] = dims[1] - ranks[1] - 3 * (a == ideal_degree)
+        first = 3
     rows = None  # the rows of d_j that (E) keeps, the free columns of d_(j-1); None: all
-    for j in range(1, 5):
-        if j == 1 and cyclic:
-            ranks[1] = dims[0] - (a == (0, 0))
-            continue
+    for j in range(first, 5):
         piv = ()
         if dims[j] and (dims[j - 1] if rows is None else len(rows)):
             m = strands._koszul_differential(field, VAR_DEGREES, a, j, dim_at.__getitem__,
@@ -149,6 +155,13 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
       with m = (s,t,u,v); R/I is cyclic, generated by 1 in degree (0,0)
       (d >= (1,1), so hf(0,0) = 1), so (m R/I)_a is all of (R/I)_a at
       a != (0,0) and 0 at (0,0).
+    - (F) rank d_2 = dims_1 - rank d_1 - 3 [a = d], dims_1 the dimension of
+      the index-1 term of the strand.  H_1 = Tor_1(R/I, k)_a = (I/mI)_a
+      (Eisenbud, ch. 1): the minimal generators of I in degree a.  I is
+      generated by f0, f1, f2 in degree d, and I_b = 0 for b < d, so (mI)_d
+      = 0 and (I/mI)_d = I_d, of dimension 3 because SystemF admits only
+      independent forms; at a != d, (I/mI)_a = 0.  So H_1 = 3 [a = d],
+      with or without basepoints, and rank d_2 = dims_1 - rank d_1 - H_1.
     Over Q each degree is read from the image where _image_tor proves it,
     and computed over Q where it does not.
     """
@@ -174,9 +187,9 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
 
 def _tor(sys, a):
     """Homology dims (H_0..H_4) of the variable Koszul complex on R/I at a,
-    with rank d_1 given by rule C of betti_table."""
+    with rank d_1 and rank d_2 given by rules C and F of betti_table."""
     return _koszul_module_homology(sys.field, a, partial(hf_quotient, sys),
-                                   partial(_quotient_action, sys), cyclic=True)
+                                   partial(_quotient_action, sys), ideal_degree=sys.d)
 
 
 def _image_tor(sys, a):

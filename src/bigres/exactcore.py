@@ -13,6 +13,9 @@ and reduced echelon forms bit-reproducible:
 * GF(p): _rref_prime eliminates a float64 copy in 32-wide column panels
   with delayed reduction, exact as long as every entry stays below 2^51;
   FieldSpec admits only the p for which one panel of updates does.
+  mat_mul is a float64 (BLAS) product of the residues, its inner dimension
+  cut into chunks of (2^51 - p) // (p-1)^2 terms so that every partial sum
+  stays below 2^51.  Both reduce with the one floor reduction _reduce.
 * Q: _rref_rational lifts the RREF from _rref_prime modulo several primes
   and returns it only once an exact integer check proves it.  lift_primes
   is the one order of those primes, which strands._image reads too.
@@ -197,16 +200,25 @@ class ExactMatrix:
 
 
 def mat_mul(a, b):
+    """The product a b.  Over GF(p) it is a float64 (BLAS) product of the
+    residues in [0, p), exact because its inner dimension is cut into
+    chunks of _terms(p) = (2^51 - p) // (p-1)^2 terms: a chunk adds at most
+    that many products of at most (p-1)^2 to an accumulator below p, so
+    every partial sum is an integer below 2^51, which float64 holds
+    exactly, and _reduce brings the accumulator back below p after each
+    chunk."""
     if a.field != b.field or a.cols != b.rows:
         raise ValueError("shape/field mismatch")
     f = a.field
-    # int64 matmul overflows for large inner dims; over GF(p) the inner axis
-    # is chunked so every partial sum stays below 2^62
-    chunk = max(1, (1 << 62) // (f.p * f.p)) if f.p else max(1, a.cols)
-    out = f.zeros((a.rows, b.cols))
+    if not f.is_prime_field:
+        return ExactMatrix(f, f.zeros((a.rows, b.cols)) + a.data @ b.data)
+    p, chunk = f.p, _terms(f.p)
+    A, B = a.data.astype(np.float64), b.data.astype(np.float64)
+    out = np.zeros((a.rows, b.cols))
     for s in range(0, a.cols, chunk):
-        out = f.reduce(out + a.data[:, s:s + chunk] @ b.data[s:s + chunk, :])
-    return ExactMatrix(f, out)
+        out += A[:, s:s + chunk] @ B[s:s + chunk]
+        _reduce(out, p)
+    return ExactMatrix(f, out.astype(np.int64))
 
 
 def mat_from_blocks(field, row_dims, col_dims, blocks):
@@ -229,6 +241,30 @@ def mat_from_blocks(field, row_dims, col_dims, blocks):
 
 # ---------------------------------------------------------------- GF(p) RREF
 
+def _reduce(x, p):
+    """x mod p in place, for a float64 array of integers 0 <= x < 2^51.
+
+    floor((x + 1/2) / p) is the exact quotient: (x + 1/2) / p lies at least
+    1 / (2p) from every integer, and two roundings move it by less than
+    x 2^-52 / p < 1 / (2p).  np.remainder is exact too, but its time grows
+    with the quotient, so it serves only short vectors.
+    """
+    if x.size <= 128:
+        return np.remainder(x, p, out=x)
+    t = x + 0.5
+    t *= 1.0 / p
+    np.floor(t, out=t)
+    t *= p
+    x -= t
+    return x
+
+
+def _terms(p):
+    """How many products of residues mod p a reduced accumulator can add
+    and stay below 2^51, where _reduce is exact: (2^51 - p) // (p-1)^2."""
+    return (_EXACT - p) // (p - 1) ** 2
+
+
 def _rref_prime(a, p):
     """RREF over GF(p); returns (int64 ndarray, list of pivot columns).
 
@@ -247,8 +283,8 @@ def _rref_prime(a, p):
       grow + k (p-1)^2 would pass top.
     * The pivot rows are normalized, and the reduced form comes from blocked
       back-substitution on the free columns only; every matmul's inner
-      dimension is chunked to (top - p + 1) // (p-1)^2 terms and the
-      accumulator is reduced after each chunk.
+      dimension is chunked to _terms(p) terms and the accumulator is
+      reduced after each chunk.
 
     FieldSpec admits only p with 128 (p-1)^2 < 2^53; for those p, 32 (p-1)^2
     + 2p <= 2^51, so a whole panel of updates stays below top.
@@ -261,26 +297,8 @@ def _rref_prime(a, p):
         a = a % p
     A = np.array(a, dtype=np.float64, order="C")
     q = float(p)
-    pinv = 1.0 / q
     sq = (p - 1) ** 2
     top = _EXACT - p
-
-    def red(x):
-        """x mod p in place; exact for integers 0 <= x <= top.
-
-        floor((x + 1/2) / p) is the exact quotient: (x + 1/2) / p lies at
-        least 1 / (2p) from every integer, and two roundings move it by less
-        than x 2^-52 / p < 1 / (2p).  libm's fmod is exact too, but its time
-        grows with the quotient, so it serves only short vectors.
-        """
-        if x.size <= 64:
-            return np.fmod(x, q, out=x)
-        t = x + 0.5
-        t *= pinv
-        np.floor(t, out=t)
-        t *= q
-        x -= t
-        return x
 
     pivots = []
     neg_invs = []
@@ -292,7 +310,7 @@ def _rref_prime(a, p):
         mm = m - r
         P = np.ascontiguousarray(A[r:, c0:c1].T)
         if grow >= p:
-            red(P)
+            _reduce(P, p)
         pc = []
         swaps = []
         k = 0
@@ -303,7 +321,7 @@ def _rref_prime(a, p):
         for j in np.flatnonzero(P.any(axis=1)).tolist():
             col = P[j, k:]
             if j:
-                red(col)
+                _reduce(col, p)
             if col[0]:
                 i = k
             else:
@@ -317,9 +335,9 @@ def _rref_prime(a, p):
                 swaps.append((k, i))
             neg_inv = p - pow(int(P[j, k]), p - 2, p)
             if j + 1 < w:
-                prow = red(P[j + 1:, k])
+                prow = _reduce(P[j + 1:, k], p)
                 if k + 1 < mm:
-                    P[j + 1:, k + 1:] += red(prow * neg_inv)[:, None] * P[j, k + 1:]
+                    P[j + 1:, k + 1:] += _reduce(prow * neg_inv, p)[:, None] * P[j, k + 1:]
             pc.append(j)
             pivots.append(c0 + j)
             neg_invs.append(neg_inv)
@@ -337,13 +355,13 @@ def _rref_prime(a, p):
             for i0, i1 in swaps:
                 A[[r + i0, r + i1], c1:] = A[[r + i1, r + i0], c1:]
             # scaled, those entries are the negated multipliers
-            neg_l = red(P[pc].T * np.array(neg_invs[-k:], dtype=np.float64))
+            neg_l = _reduce(P[pc].T * np.array(neg_invs[-k:], dtype=np.float64), p)
             # U rows: the inverse of the unit lower triangle times the rows
-            Z = _unitri_inverse(neg_l[:k] * _LOWER[:k, :k], red)
-            A[r:r + k, c1:] = red(Z @ red(A[r:r + k, c1:]))
+            Z = _unitri_inverse(neg_l[:k] * _LOWER[:k, :k], p)
+            A[r:r + k, c1:] = _reduce(Z @ _reduce(A[r:r + k, c1:], p), p)
             if k < mm:
                 if grow + k * sq > top:
-                    red(A[r + k:, c1:])
+                    _reduce(A[r + k:, c1:], p)
                     grow = p - 1
                 U12 = A[r:r + k, c1:]
                 for s in range(k, mm, _ROW_CHUNK):
@@ -357,19 +375,19 @@ def _rref_prime(a, p):
     piv = np.asarray(pivots)
     free = _free_columns(n, pivots)
     inv = q - np.array(neg_invs, dtype=np.float64)[:, None]
-    X = red(A[:r, free] * inv)
+    X = _reduce(A[:r, free] * inv, p)
     if free.size:
-        N = red(A[:r, piv] * (q - inv))  # minus the normalized U, on pivots
-        chunk = (top - p + 1) // sq
+        N = _reduce(A[:r, piv] * (q - inv), p)  # minus the normalized U, on pivots
+        chunk = _terms(p)
         for i1 in range(r, 0, -_PANEL):
             i0 = max(0, i1 - _PANEL)
             B = X[i0:i1]
             for s in range(i1, r, chunk):
                 B += N[i0:i1, s:s + chunk] @ X[s:s + chunk]
-                red(B)
+                _reduce(B, p)
             b = i1 - i0
-            W = _unitri_inverse(N[i0:i1, i0:i1] * _LOWER[:b, :b].T, red)
-            X[i0:i1] = red(W @ B)
+            W = _unitri_inverse(N[i0:i1, i0:i1] * _LOWER[:b, :b].T, p)
+            X[i0:i1] = _reduce(W @ B, p)
     del A
     R = np.zeros((m, n), dtype=np.int64)
     R[np.arange(r), piv] = 1
@@ -380,15 +398,15 @@ def _rref_prime(a, p):
 _LOWER = np.tri(_PANEL, k=-1)  # mask of the strict lower triangle
 
 
-def _unitri_inverse(S, red):
+def _unitri_inverse(S, p):
     """(I - S)^-1 = (I + S)(I + S^2)(I + S^4)... for S strictly triangular
     of size at most _PANEL with reduced entries; every product has an inner
     dimension of at most _PANEL terms."""
     W = S + np.eye(len(S))
     h = 2
     while h < len(S):
-        S = red(S @ S)
-        W = red(W + W @ S)
+        S = _reduce(S @ S, p)
+        W = _reduce(W + W @ S, p)
         h *= 2
     return W
 

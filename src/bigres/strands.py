@@ -15,17 +15,18 @@ on H1, whose actions are the records _quotient_action and _h1_action.
 
 Everything here is a pure function of (system, bidegree).  One per-system
 store owns every elimination and every module action: the quotient record,
-the phi pair, the higher Koszul ranks and the R/I and H1 actions of each
-variable at a degree are each computed once per system, and hf_quotient,
-h1_dim, koszul_strand_homology, is_generic and the Koszul complexes on R/I
-and H1 in betti all read the same records.  Some records depend on no
-degree: the basepoint test _free, the rank of the square generator strand
-at (3d1 - 1, 2d2 - 1), which segre.basepoint_free (and so the lab draws),
-is_generic and the warning of betti.betti_table all read, and, for a system
-over Q, its image _image, the reduction mod the first prime of
-exactcore.lift_primes that divides no denominator and keeps the three
-forms independent; _image_free is _free of that image.  Over Q, _free, is_generic, h1_dim and hf_quotient return the value of the
-image wherever a proof makes it the value over Q (the proofs are in their
+the phi pair, the higher Koszul ranks, the R/I and H1 actions of each
+variable and, over Q, the hf certificate at a degree are each computed once
+per system, and hf_quotient, h1_dim, koszul_strand_homology, is_generic
+and the Koszul complexes on R/I and H1 in betti all read the same records.
+Some records depend on no degree: the basepoint test _free, the rank of the
+square generator strand at (3d1 - 1, 2d2 - 1), which segre.basepoint_free
+(and so the lab draws), is_generic and the warning of betti.betti_table all
+read, and, for a system over Q, its image _image, the reduction mod the
+first prime of exactcore.lift_primes that divides no denominator and keeps
+the three forms independent; _image_free is _free of that image.  Over Q,
+_free, is_generic, h1_dim and hf_quotient return the value of the image
+wherever a proof makes it the value over Q (the proofs are in their
 docstrings and in those of _image_free, _h1_certified and _hf_certified),
 and compute over Q wherever none does, degree by degree; betti.betti_table
 reads Tor the same way.  A system over GF(p) never asks for an image.
@@ -681,11 +682,14 @@ def _h1_certified(sys, a):
     return _full_rank(img, a)
 
 
+@_per_system
 def _hf_certified(sys, a):
     """Whether hf of the Q system sys at a is hf of its image: the image is
     Free and h1 is certified at a.  Then sys is basepoint-free as well (see
     _image_free), and on a basepoint-free net H2 = H3 = 0 in the Koszul
     complex on f0, f1, f2 (I has grade 2), so its Euler characteristic
     gives hf = chi + h1 on both nets.  chi depends on d alone, and h1
-    agrees at a, so hf agrees too."""
+    agrees at a, so hf agrees too.  The record holds only a bool, so
+    hf_quotient and betti.betti_table, which asks at every spot of each Tor
+    strand, decide it once per degree."""
     return _image_free(sys) and _h1_certified(sys, a)

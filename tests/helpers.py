@@ -150,13 +150,13 @@ def full_box_generic(sys_, box=None):
     return GenericityVerdict(True, box, None)
 
 
-def full_module_homology(field, a, dim, action, cyclic=False):
+def full_module_homology(field, a, dim, action, ideal_degree=None):
     """Homology dims (H_0..H_4) at degree a of the variable Koszul complex
     on a module, by building and eliminating every d_j, empty or not, on
     all its rows: the reference for betti._koszul_module_homology, which
     builds nothing it can prove zero and restricts each rank to the free
-    rows of the last.  cyclic is accepted and ignored, so the oracle can
-    stand in for that routine."""
+    rows of the last.  ideal_degree is accepted and ignored, so the oracle
+    can stand in for that routine."""
     spots = [_koszul_spots(VAR_DEGREES, a, j) for j in range(5)]
     dims = [sum(dim(b) for _, b in group) for group in spots]
     ranks = [0] + [mat_rank(_koszul_differential(field, VAR_DEGREES, a, j, dim, action))

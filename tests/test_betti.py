@@ -4,6 +4,7 @@ import copy
 import gc
 import random
 import weakref
+from contextlib import nullcontext
 from functools import partial
 
 import pytest
@@ -232,6 +233,21 @@ def test_homology_matches_full_oracle(d, fld, monkeypatch):
     assert rows and all(r["gen_match"] for r in rows)
 
 
+@pytest.mark.parametrize("mode", ["GF", "QQ-uncertified"])
+def test_homology_matches_full_oracle_with_a_shared_factor(mode, monkeypatch):
+    # rule F asks only that the forms be independent: on a (1,2) net whose
+    # forms share a (0,1) factor, a curve of basepoints, H_1 of R/I is
+    # still the three generators at d
+    fld = GF() if mode == "GF" else QQ
+    rng = random.Random(97)
+    common = random_form(fld, (0, 1), rng)
+    with uncertified() if mode == "QQ-uncertified" else nullcontext():
+        sys_ = SystemF(fld, (1, 2), [common * random_form(fld, (1, 1), rng) for _ in range(3)])
+        assert not strands._free(sys_)
+        assert betti_table(sys_, degrees=[(1, 2)]).beta(0, (1, 2)) == 3
+        _assert_matches_full_oracle(sys_, (6, 9) if fld.is_prime_field else (3, 5), monkeypatch)
+
+
 @pytest.mark.parametrize("name", ["sys_bp.json", "sys_conic12.json", "sys_maps6.json"])
 def test_homology_matches_full_oracle_on_data(name, monkeypatch):
     sys_ = load_system(data_path(name))
@@ -242,9 +258,9 @@ def test_homology_matches_full_oracle_on_data(name, monkeypatch):
 @pytest.mark.parametrize("name", ["sys_bp.json", "sys_conic12.json"])
 def test_proved_zero_differentials_are_not_built(name, monkeypatch):
     # betti_table builds no Koszul differential where Tor of R/I is proved
-    # zero (a != (0,0), a1 < d1 or a2 < d2) and never d_1 on R/I; neither
-    # module builds a differential with an empty side, so nothing is built
-    # where every spot is empty
+    # zero (a != (0,0), a1 < d1 or a2 < d2) and never d_1 or d_2 on R/I,
+    # whose ranks rules C and F give; neither module builds a differential
+    # with an empty side, so nothing is built where every spot is empty
     built = []
     koszul_differential = strands._koszul_differential
 
@@ -270,7 +286,7 @@ def test_proved_zero_differentials_are_not_built(name, monkeypatch):
         assert any(dims[module](b)
                    for i in range(5) for _, b in _koszul_spots(VAR_DEGREES, a, i))
         if module == "R/I":
-            assert j > 1, a
+            assert j > 2, a
             assert a == (0, 0) or (a[0] >= d[0] and a[1] >= d[1]), a
 
 

@@ -1,5 +1,6 @@
 """Exact linear algebra: both backends against a naive Fraction oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -334,3 +335,28 @@ def test_prime_rref_reduces_raw_entries():
     got, piv = rref(raw)
     assert list(piv) == wpiv
     assert got.data.tolist() == want
+
+
+@pytest.mark.parametrize("p", [5, 32003, 8388593])
+def test_prime_mat_mul_is_exact(p):
+    # the float64 product against Python-int products mod p, with entries
+    # all p-1, uniform and near p-1 (the largest partial sums, and odd
+    # terms, which a float64 sum past 2^53 rounds), at inner dims around
+    # the chunk of terms mat_mul sums before it reduces; only 8388593 has a
+    # chunk under 300, so only there is it crossed.  A 3 x 4 result reduces
+    # by np.remainder, a 12 x 11 one by the floor reduction
+    fld = GF(p)
+    rng = random.Random(p)
+    chunk = (2 ** 51 - p) // (p - 1) ** 2
+    assert (chunk + 1 < 300) == (p == 8388593)
+    draws = (lambda: p - 1, lambda: rng.randrange(p), lambda: rng.randrange(p - 1 - p // 8, p))
+    for inner in [n for n in (0, 1, chunk - 1, chunk, chunk + 1, 300) if n <= 300]:
+        for (rows, cols), draw in itertools.product(((3, 4), (12, 11)), draws):
+            a = [[draw() for _ in range(inner)] for _ in range(rows)]
+            b = [[draw() for _ in range(cols)] for _ in range(inner)]
+            got = mat_mul(ExactMatrix(fld, np.array(a, dtype=np.int64).reshape(rows, inner)),
+                          ExactMatrix(fld, np.array(b, dtype=np.int64).reshape(inner, cols)))
+            assert (got.data.dtype, got.data.shape) == (np.int64, (rows, cols))
+            want = [[sum(a[i][k] * b[k][j] for k in range(inner)) % p for j in range(cols)]
+                    for i in range(rows)]
+            assert got.data.tolist() == want, (inner, rows)

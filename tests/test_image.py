@@ -87,6 +87,21 @@ def test_image_holds_no_reference_to_its_system():
     assert ref() is None
 
 
+def test_second_betti_table_decides_no_certificate(monkeypatch):
+    # _hf_certified is a record of the store: a second betti_table on the
+    # same Q system reads the certificate of every spot, deciding none
+    calls = []
+    h1_certified = strands._h1_certified
+    monkeypatch.setattr(strands, "_h1_certified",
+                        lambda sys_, a: calls.append(a) or h1_certified(sys_, a))
+    sys_ = random_bpf_system(QQ, (1, 2), random.Random(7))
+    first = betti_table(sys_, box=(4, 6)).to_text()
+    assert calls
+    calls.clear()
+    assert betti_table(sys_, box=(4, 6)).to_text() == first
+    assert not calls
+
+
 def test_prime_fields_never_ask_for_an_image(monkeypatch):
     def no_image(sys_):
         raise AssertionError("GF(p) system asked for an image")

@@ -47,6 +47,20 @@ def test_mat_from_blocks_is_the_only_assembler():
     assert not stacking, stacking
 
 
+def test_matrix_products_only_in_exactcore():
+    # exactcore's products cut their inner dimension so that a GF(p) product
+    # stays exact (mat_mul's bound); a bare @, np.matmul or np.dot in another
+    # package module or a script would not
+    paths = [p for p in [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+             if p.name != "exactcore.py"]
+    products = [f"{path.name}:{node.lineno}"
+                for path, tree in _trees(paths) for node in ast.walk(tree)
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot")
+                or isinstance(node, ast.alias) and node.name in ("matmul", "dot")]
+    assert not products, products
+
+
 def _named_in(paths, names):
     # {name: {(module, enclosing top-level function)}} for every read of a
     # name, bare or as a module attribute
