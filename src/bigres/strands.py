@@ -42,8 +42,10 @@ by the integration method for dual bases (Mourrain, "Isolated points,
 duality and residues", JPAA 1997; Marinari, Moeller and Mora, "Groebner
 bases of ideals defined by functionals", 1993): a functional lies in V_b
 when its contractions by the two variables of degree e lie in V_(b-e) and
-agree on R_(b-2e).  Each step eliminates an hf(b-2e) x 2 hf(b-e) matrix
-and, to put V_b in the form of kernel_data, one hf(b) x dim R_b matrix.
+agree on R_(b-2e).  Each step eliminates the part of an hf(b-2e) x 2
+hf(b-e) matrix that the free monomials of V_(b-e) leave open, often none
+of it, and, to put V_b in the form of kernel_data, one hf(b) x dim R_b
+matrix.
 On the edge b_i = d_i, d_1^T has only 3 (b_j - d_j + 1) rows, and [f0 f1
 f2] is eliminated there directly, unless the record one step down the edge
 is stored already; then the step runs along the edge (see _step).
@@ -314,10 +316,22 @@ def _inverse_system(sys, b, e):
       x0 o nu on R_(b-2e).  Both sides lie in V_(b-2e), so they agree
       exactly when they agree at its free monomials F2.  With mu = K1 alpha
       and nu = K1 beta in the basis K1 of V_(b-e), the pairs are the kernel
-      Z of [K1[x1 F2] | -K1[x0 F2]], a matrix of hf(b-2e) x 2 hf(b-e).
+      Z of M = [K1[x1 F2] | -K1[x0 F2]], a matrix of hf(b-2e) x 2 hf(b-e).
+      K1 is the identity on the free monomials F1 of V_(b-e), so on the rows
+      S of M where x1 F2[i] is the free monomial F1[c(i)] the row reads
+      alpha_c(i) = (K1[x0 F2[S]] beta)_i; the c(i) are distinct, as the x1
+      F2[i] are.  Substituting alpha_C, C = c(S), into the other rows T
+      leaves the residual [K1[x1 F2[T]][:, C'] | K1[x1 F2[T]][:, C]
+      K1[x0 F2[S]] - K1[x0 F2[T]]], C' the other indices, of |T| x (2 hf(b-e)
+      - |S|), whose kernel gives alpha_C' and beta, and alpha_C = K1[x0
+      F2[S]] beta completes Z.  A step with T empty eliminates nothing here.
+      This basis of ker M differs from kernel_data(M), but any basis will
+      do: the normalization below reads only the span V_b of Lambda.
     * Lift.  lambda(x0 m) = mu(m) fills the rows x0 m of Lambda with K1
-      Z_top; the other monomials of R_b are x1 m with m free of x0, whose
-      rows are K1[those m] Z_bottom.
+      alpha; the other monomials of R_b are x1 m with m free of x0 (rest),
+      whose rows are nu(m) = K1[m] beta.  K1 is the identity on F1, so the
+      rows at x0 F1 and at x1 m for m in F1 and rest are copies of rows of
+      alpha and beta, and only the rows of K1 off F1 are multiplied.
     * Normalize.  A monomial c is a free column of d_1^T, that is not a
       combination of the columns before it, exactly when some lambda in V_b
       has its last nonzero entry at c.  Reversing the monomial order turns
@@ -334,22 +348,35 @@ def _inverse_system(sys, b, e):
     xs = VAR_EXPONENTS[[0, 1] if e == (1, 0) else [2, 3]]  # rows x0, x1
     b_e = (b[0] - e[0], b[1] - e[1])
     b_2e = (b_e[0] - e[0], b_e[1] - e[1])
-    K1 = _quotient_kernel(sys, b_e)[0]
+    K1, F1 = _quotient_kernel(sys, b_e)
     h1 = K1.cols
-    if h1:
-        F2 = np.array(_quotient_kernel(sys, b_2e)[1], dtype=np.int64)
-        at0, at1 = _term_rows(xs, F2, b_2e, (1, 1))  # rows of x0 F2, x1 F2
-        Z = kernel_data(mat_from_blocks(field, [len(F2)], [h1, h1],
-                                        {(0, 0): K1.data[at1],
-                                         (0, 1): field.reduce(-K1.data[at0])}))[0]
-    if not h1 or not Z.cols:
+    if not h1:
         return ExactMatrix.zeros(field, n, 0), ()
+    K = K1.data
+    col = np.full(K1.rows, -1)  # the F1-index of each monomial of R_(b-e), -1 off F1
+    col[list(F1)] = np.arange(h1)
+    F2 = np.array(_quotient_kernel(sys, b_2e)[1], dtype=np.int64)
+    at0, at1 = _term_rows(xs, F2, b_2e, (1, 1))  # rows of x0 F2, x1 F2
+    S = col[at1] >= 0
+    C = col[at1[S]]
+    unsolved = np.ones(h1, dtype=bool)  # C', the alpha not solved on S
+    unsolved[C] = False
+    x0S, x1T = ExactMatrix(field, K[at0[S]]), K[at1[~S]]  # K1 at x0 F2[S], x1 F2[T]
+    resid = mat_mul(ExactMatrix(field, x1T[:, C]), x0S).data - K[at0[~S]]
+    Y = kernel_data(mat_from_blocks(field, [len(x1T)], [h1 - len(C), h1],
+                                    {(0, 0): x1T[:, unsolved], (0, 1): field.reduce(resid)}))[0]
+    if not Y.cols:
+        return ExactMatrix.zeros(field, n, 0), ()
+    beta = ExactMatrix(field, Y.data[h1 - len(C):])
+    alpha = ExactMatrix.zeros(field, h1, Y.cols)
+    alpha.data[unsolved] = Y.data[:h1 - len(C)]
+    alpha.data[C] = mat_mul(x0S, beta).data
     rows0, rows1 = _term_rows(xs, np.arange(K1.rows), b_e, (1, 1))
-    rest = ~np.isin(rows1, rows0)
-    lam = field.zeros((n, Z.cols))
-    lam[rows0] = mat_mul(K1, ExactMatrix(field, Z.data[:h1])).data
-    lam[rows1[rest]] = mat_mul(ExactMatrix(field, K1.data[rest]),
-                               ExactMatrix(field, Z.data[h1:])).data
+    free, every = col >= 0, np.ones(K1.rows, dtype=bool)
+    lam = field.zeros((n, Y.cols))
+    for rows, z, of in ((rows0, alpha, every), (rows1, beta, ~np.isin(rows1, rows0))):
+        lam[rows[of & free]] = z.data[col[of & free]]
+        lam[rows[of & ~free]] = mat_mul(ExactMatrix(field, K[of & ~free]), z).data
     R, piv = rref(ExactMatrix(field, lam[::-1].T))
     return (ExactMatrix(field, np.ascontiguousarray(R.data[len(piv) - 1::-1, ::-1].T)),
             tuple(n - 1 - c for c in reversed(piv)))

@@ -11,7 +11,7 @@ import pytest
 from bigres.exactcore import GF, QQ, ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
 from bigres.bipoly import BiPoly, SystemF, mul_matrix, strand_dim
 from bigres.combinat import chi, cod, dom, nd
-from bigres import strands
+from bigres import exactcore, strands
 from bigres.segre import basepoint_free
 from bigres.strands import (VAR_DEGREES, _h1_action, _inverse_block, _koszul_differential,
                             _koszul_spots, _phi_kernels, _phi_spaces, _quotient_action,
@@ -487,11 +487,30 @@ def _assert_records_equal(sys_, box, order="ascending"):
         assert all(type(x) is scalar for row in rows for x in row), a
 
 
-@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("fld", [GF(), QQ, GF(5)], ids=["GF", "QQ", "GF5"])
 @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
 def test_quotient_kernel_matches_dense_oracle(d, fld):
     sys_ = random_system(fld, d, random.Random(60 * d[0] + d[1]))
     _assert_records_equal(sys_, (3 * d[0] + 3, 3 * d[1] + 3))
+
+
+@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+def test_quotient_step_solves_its_free_rows_outright(fld, monkeypatch):
+    # on this (1,2) net every row of the compatibility matrix of the steps
+    # at (2,2) .. (6,2) meets a free monomial of the record below, so those
+    # steps solve every row outright and eliminate only to normalize V_b
+    sys_ = random_system(fld, (1, 2), random.Random(62))
+    calls = []
+    for mod in (exactcore, strands):
+        monkeypatch.setattr(mod, "rref", lambda m, rref=mod.rref: calls.append(m) or rref(m))
+    made = {}
+    for a in [(a1, a2) for a1 in range(-1, 7) for a2 in range(-1, 10)]:
+        before = len(calls)
+        _quotient_kernel(sys_, a)
+        made[a] = len(calls) - before
+    monkeypatch.undo()
+    assert [made[k, 2] for k in range(2, 7)] == [1] * 5
+    _assert_records_equal(sys_, (6, 9))
 
 
 @pytest.mark.parametrize("name", ["sys_bp.json", "sys_conic12.json", "sys_maps6.json"])
@@ -532,7 +551,7 @@ _ORDER_NETS = {
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 @pytest.mark.parametrize("net", list(_ORDER_NETS))
-@pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
+@pytest.mark.parametrize("fld", [GF(), QQ, GF(5)], ids=["GF", "QQ", "GF5"])
 def test_quotient_kernel_is_independent_of_query_order(fld, net, order):
     # a cold query eliminates the edge b_i = d_i directly, a warm one steps
     # along it; both give the record of the dense elimination, so it cannot
