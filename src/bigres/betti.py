@@ -18,9 +18,9 @@ kernel records: coordinates of a kernel vector are its entries at the free
 columns.  The variable actions on both modules are store records too
 (strands._quotient_action and strands._h1_action), built once per system.
 
-The Koszul differentials over the spots come from the one Koszul strand
-builder, strands._koszul_differential, given a module's strand dims and
-actions.
+Both Koszul complexes on the variables are run through the one Koszul
+homology routine, strands._koszul_homology, given a module's strand dims
+and actions; on R/I its first two homology dims are proved (betti_table).
 
 The syzygy constructors share one small polynomial-matrix kernel: poly_dot
 is the one sum of products (poly_mat_mul is a comprehension over it), cross
@@ -37,8 +37,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
-from .exactcore import (ExactMatrix, _free_columns, kernel_data, mat_from_blocks, mat_mul,
-                        mat_rank, rref)
+from .exactcore import ExactMatrix, kernel_data, mat_from_blocks, mat_mul, mat_rank, rref
 from .bipoly import BiPoly, gcd_binary, mul_matrix, strand_dim, theta_matrix
 from . import strands
 from .strands import (VAR_DEGREES, _h1_action, _koszul_spots, _quotient_action, h1_dim,
@@ -46,56 +45,6 @@ from .strands import (VAR_DEGREES, _h1_action, _koszul_spots, _quotient_action, 
 
 
 # --------------------------------------------------------------- Betti tables
-
-def _koszul_module_homology(field, a, dim, action, ideal_degree=None):
-    """Homology dims (H_0..H_4) at degree a of the variable Koszul complex
-    on a module with strand dims dim(b) and actions action(b, xi) of the
-    variables; strands._koszul_differential builds each differential.  Each
-    spot degree's dim is read once, in ascending order of the degree, so a
-    module whose records are built by recursion on the degree (R/I, see
-    strands._quotient_kernel) fills them from the bottom up.  Nothing
-    proved zero is built, and no rank is taken on more rows than it needs:
-    - (D) a differential whose source or target is empty is the zero map,
-      of rank 0, so it is not built;
-    - (A) hence, if every spot dim is 0, nothing is built and the homology
-      is (0,0,0,0,0): every term of the complex is 0.  This holds for any
-      module, R/I and H1 alike;
-    - (C) when ideal_degree is given, the module is R/I with I minimally
-      generated by three forms of that degree d, and rank d_1 = dim(a) -
-      [a = (0,0)] (see betti_table); dim(a) comes from the same ascending
-      pass;
-    - (F) then also rank d_2 = dims[1] - rank d_1 - 3 [a = d], as H_1 is
-      (I/mI)_a (see betti_table); so on R/I neither d_1 nor d_2 is built;
-    - (E) rank d_(j+1) is the rank of its rows at the free columns F of
-      d_j, when d_j was eliminated.  The columns of d_(j+1) lie in ker d_j,
-      and a vector of ker d_j is fixed by its entries at F (kernel_data's
-      identity pattern), so restricting to the rows F is injective on the
-      column space of d_(j+1).  It keeps every linear relation among the
-      columns, hence the rank and the free columns of d_(j+1), which carry
-      on to d_(j+2).  With F empty, ker d_j = 0, so d_(j+1) = 0 and is not
-      built.  On R/I, d_3 is the first differential eliminated and keeps
-      all its rows, so (E) restricts rows from d_4 on.
-    """
-    spots = [_koszul_spots(VAR_DEGREES, a, j) for j in range(5)]
-    dim_at = {b: dim(b) for b in sorted({b for group in spots for _, b in group})}
-    dims = [sum(dim_at[b] for _, b in group) for group in spots]
-    ranks = [0] * 6
-    first = 1  # the first differential to eliminate
-    if ideal_degree is not None:
-        ranks[1] = dims[0] - (a == (0, 0))
-        ranks[2] = dims[1] - ranks[1] - 3 * (a == ideal_degree)
-        first = 3
-    rows = None  # the rows of d_j that (E) keeps, the free columns of d_(j-1); None: all
-    for j in range(first, 5):
-        piv = ()
-        if dims[j] and (dims[j - 1] if rows is None else len(rows)):
-            m = strands._koszul_differential(field, VAR_DEGREES, a, j, dim_at.__getitem__,
-                                             action).data
-            piv = rref(ExactMatrix(field, m if rows is None else m[rows]))[1]
-        ranks[j] = len(piv)
-        rows = _free_columns(dims[j], piv) if piv else None
-    return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(5))
-
 
 @dataclass
 class BettiTable:
@@ -145,18 +94,18 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
     Quotient homology is computed for homological indices 0..4 and shifted
     down by one for IdealConvention.  Non-basepoint-free input, by the exact
     test strands._free, only sets the warning flag; the table itself stays
-    well-defined.  Two values are proved, with or without basepoints, and
-    not built:
+    well-defined.  Three facts are proved, with or without basepoints; C
+    and F are the known H_0 and H_1 that _tor hands the homology routine:
     - (B) Tor of R/I is 0 at a != (0,0) with a1 < d1 or a2 < d2.  Every spot
       b <= a has I_b = 0, so the strand is the degree-a strand of the Koszul
       complex of R on s,t,u,v, a resolution of k = R/(s,t,u,v) (Eisenbud,
       The Geometry of Syzygies, ch. 1), exact away from degree 0.
-    - (C) rank d_1 = hf(a) - [a = (0,0)].  The image of d_1 is (m R/I)_a,
-      with m = (s,t,u,v); R/I is cyclic, generated by 1 in degree (0,0)
-      (d >= (1,1), so hf(0,0) = 1), so (m R/I)_a is all of (R/I)_a at
-      a != (0,0) and 0 at (0,0).
-    - (F) rank d_2 = dims_1 - rank d_1 - 3 [a = d], dims_1 the dimension of
-      the index-1 term of the strand.  H_1 = Tor_1(R/I, k)_a = (I/mI)_a
+    - (C) H_0 = [a = (0,0)], so rank d_1 = hf(a) - [a = (0,0)].  The image
+      of d_1 is (m R/I)_a, with m = (s,t,u,v); R/I is cyclic, generated by
+      1 in degree (0,0) (d >= (1,1), so hf(0,0) = 1), so (m R/I)_a is all
+      of (R/I)_a at a != (0,0) and 0 at (0,0).
+    - (F) H_1 = 3 [a = d], so rank d_2 = dims_1 - rank d_1 - 3 [a = d],
+      dims_1 the size of the index-1 term.  H_1 = Tor_1(R/I, k)_a = (I/mI)_a
       (Eisenbud, ch. 1): the minimal generators of I in degree a.  I is
       generated by f0, f1, f2 in degree d, and I_b = 0 for b < d, so (mI)_d
       = 0 and (I/mI)_d = I_d, of dimension 3 because SystemF admits only
@@ -187,9 +136,10 @@ def betti_table(sys, box=None, degrees=None, convention="IdealConvention"):
 
 def _tor(sys, a):
     """Homology dims (H_0..H_4) of the variable Koszul complex on R/I at a,
-    with rank d_1 and rank d_2 given by rules C and F of betti_table."""
-    return _koszul_module_homology(sys.field, a, partial(hf_quotient, sys),
-                                   partial(_quotient_action, sys), ideal_degree=sys.d)
+    with H_0 and H_1 given by rules C and F of betti_table."""
+    return strands._koszul_homology(sys.field, VAR_DEGREES, a, partial(hf_quotient, sys),
+                                    partial(_quotient_action, sys),
+                                    (int(a == (0, 0)), 3 * (a == sys.d)))
 
 
 def _image_tor(sys, a):
@@ -243,8 +193,8 @@ def mcomplex_dims(sys, a):
     The tail must vanish; nonzero H(M)_3 or H(M)_4 signals a broken kernel
     model and raises.
     """
-    hom = _koszul_module_homology(sys.field, tuple(a), partial(h1_dim, sys),
-                                  partial(_h1_action, sys))
+    hom = strands._koszul_homology(sys.field, VAR_DEGREES, tuple(a), partial(h1_dim, sys),
+                                   partial(_h1_action, sys))
     if hom[3] or hom[4]:
         raise ArithmeticError(f"M-complex tail homology nonzero at {a}: {hom}")
     return hom
@@ -630,10 +580,10 @@ def verify_resolution(rc, box=None):
     for a1 in range(box[0] + 1):
         for a2 in range(box[1] + 1):
             a = (a1, a2)
-            strands = [rc.strand(j, a) for j in range(1, nspots + 1)]
-            ranks = [mat_rank(m) for m in strands]
+            mats = [rc.strand(j, a) for j in range(1, nspots + 1)]
+            ranks = [mat_rank(m) for m in mats]
             for j in range(1, nspots + 1):
-                kdim = strands[j - 1].cols - ranks[j - 1]
+                kdim = mats[j - 1].cols - ranks[j - 1]
                 imdim = ranks[j] if j < nspots else 0
                 if kdim != imdim:
                     failures.append(("exactness", j, a, kdim, imdim))

@@ -8,17 +8,18 @@ zero whenever an exponent would leave the allowed range; these blocks and
 the polynomial ones come from the one term kernel of bipoly, and every
 strand matrix is assembled by exactcore.mat_from_blocks.
 
-Every Koszul strand comes from one builder, _koszul_differential: the
-complex on the net f0, f1, f2 acting on R (its d_1 is the generator strand
-[f0 f1 f2]), and the complex on the variables s, t, u, v acting on R/I or
-on H1, whose actions are the records _quotient_action and _h1_action.
+Every Koszul strand comes from one builder, _koszul_differential, and
+every Koszul homology from one loop over it, _koszul_homology: the complex
+on the net f0, f1, f2 acting on R (its d_1 is the generator strand [f0 f1
+f2]), and the complex on the variables s, t, u, v acting on R/I or on H1,
+whose actions are the records _quotient_action and _h1_action.
 
 Everything here is a pure function of (system, bidegree).  One per-system
 store owns every elimination and every module action: the quotient record,
-the phi pair, the higher Koszul ranks, the R/I and H1 actions of each
-variable and, over Q, the hf certificate at a degree are each computed once
-per system, and hf_quotient, h1_dim, koszul_strand_homology, is_generic
-and the Koszul complexes on R/I and H1 in betti all read the same records.
+the phi pair, the ring homology, the R/I and H1 actions of each variable
+and, over Q, the hf certificate at a degree are each computed once per
+system, and hf_quotient, h1_dim, koszul_strand_homology, is_generic and
+the Koszul complexes on R/I and H1 in betti all read the same records.
 Some records depend on no degree: the basepoint test _free, the rank of the
 square generator strand at (3d1 - 1, 2d2 - 1), which segre.basepoint_free
 (and so the lab draws), is_generic and the warning of betti.betti_table all
@@ -54,14 +55,15 @@ is stored already; then the step runs along the edge (see _step).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import lcm
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .exactcore import (GF, ExactMatrix, kernel_data, lift_primes, mat_from_blocks, mat_mul,
-                        mat_rank, rref)
+from .exactcore import (GF, ExactMatrix, _free_columns, kernel_data, lift_primes,
+                        mat_from_blocks, mat_mul, mat_rank, rref)
 from .bipoly import BiPoly, SystemF, _product, _term_rows, mul_matrix, strand_dim
 
 
@@ -161,10 +163,57 @@ def _koszul_differential(field, degs, a, j, dim, action):
     return mat_from_blocks(field, row_dims, col_dims, blocks)
 
 
+def _koszul_homology(field, degs, a, dim, action, known=()):
+    """Homology dims (H_0..H_n), n = len(degs), at degree a of the Koszul
+    complex of _koszul_differential on a module: the one loop over the
+    complex on f0, f1, f2 acting on R (n = 3) and on the variables acting
+    on R/I or H1 (n = 4).  Each spot degree's dim is read once, in
+    ascending order of the degree, so a module whose records are built by
+    recursion on the degree (R/I, see _quotient_kernel) fills them from
+    the bottom up.  Nothing proved zero is built, and no rank is taken on
+    more rows than it needs:
+    - (K) known gives H_0..H_(k-1) where a proof gives them; then rank
+      d_(j+1) = dims_j - rank d_j - H_j for j < k, and d_1..d_k are not built;
+    - (D) a differential whose source or target is empty is the zero map,
+      of rank 0, so it is not built; (A) hence, if every spot dim is 0,
+      nothing is built and the homology is 0, for any module;
+    - (E) rank d_(j+1) is the rank of its rows at the free columns F of
+      d_j, when d_j was eliminated.  The columns of d_(j+1) lie in ker d_j,
+      and a vector of ker d_j is fixed by its entries at F (kernel_data's
+      identity pattern), so restricting to the rows F is injective on the
+      column space of d_(j+1).  It keeps every linear relation among the
+      columns, hence the rank and the free columns of d_(j+1), which carry
+      on to d_(j+2).  With F empty, ker d_j = 0, so d_(j+1) = 0 and is not
+      built.  The first differential eliminated, d_(k+1), keeps all its
+      rows, so (E) restricts rows from d_(k+2) on.
+    """
+    n = len(degs)
+    spots = [_koszul_spots(degs, a, j) for j in range(n + 1)]
+    dim_at = {b: dim(b) for b in sorted({b for group in spots for _, b in group})}
+    dims = [sum(dim_at[b] for _, b in group) for group in spots]
+    ranks = [0] * (n + 2)
+    for j, h in enumerate(known):
+        ranks[j + 1] = dims[j] - ranks[j] - h
+    rows = None  # the rows of d_j that (E) keeps, the free columns of d_(j-1); None: all
+    for j in range(len(known) + 1, n + 1):
+        piv = ()
+        if dims[j] and (dims[j - 1] if rows is None else len(rows)):
+            m = _koszul_differential(field, degs, a, j, dim_at.__getitem__, action).data
+            piv = rref(ExactMatrix(field, m if rows is None else m[rows]))[1]
+        ranks[j] = len(piv)
+        rows = _free_columns(dims[j], piv) if piv else None
+    return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(n + 1))
+
+
+def _ring_action(sys, b, l):
+    """Multiplication by f_l: R_b -> R_(b + d), the action of the net on R."""
+    return mul_matrix(sys.polys[l], b)
+
+
 def _ring_differential(sys, a, j):
     """d_j of the Koszul complex on f0, f1, f2 acting on R, at degree a."""
     return _koszul_differential(sys.field, (sys.d,) * 3, a, j, strand_dim,
-                                lambda b, l: mul_matrix(sys.polys[l], b))
+                                partial(_ring_action, sys))
 
 
 # ------------------------------------------------------------- strand store
@@ -410,9 +459,11 @@ def _phi_kernels(sys, a):
 
 
 @_per_system
-def _koszul_ranks(sys, a):
-    """(rank d_2, rank d_3) at a."""
-    return tuple(mat_rank(_ring_differential(sys, a, j)) for j in (2, 3))
+def _ring_homology(sys, a):
+    """Homology dims (H_0..H_3) at a of the Koszul complex on f0, f1, f2
+    acting on R.  H_0 = R/I is hf_quotient, so d_1 is not built."""
+    return _koszul_homology(sys.field, (sys.d,) * 3, a, strand_dim, partial(_ring_action, sys),
+                            (hf_quotient(sys, a),))
 
 
 @_per_system
@@ -469,9 +520,7 @@ def koszul_strand_homology(sys, a, i):
     """dim H_i of the degree-a strand of the Koszul complex, i in 0..3."""
     if i not in (0, 1, 2, 3):
         raise ValueError("homological index must be 0..3")
-    dim = sum(strand_dim(b) for _, b in _koszul_spots((sys.d,) * 3, a, i))
-    rk = (0, strand_dim(a) - hf_quotient(sys, a)) + _koszul_ranks(sys, a) + (0,)
-    return dim - rk[i] - rk[i + 1]
+    return _ring_homology(sys, a)[i]
 
 
 @dataclass(frozen=True)

@@ -150,18 +150,20 @@ def full_box_generic(sys_, box=None):
     return GenericityVerdict(True, box, None)
 
 
-def full_module_homology(field, a, dim, action, ideal_degree=None):
-    """Homology dims (H_0..H_4) at degree a of the variable Koszul complex
-    on a module, by building and eliminating every d_j, empty or not, on
-    all its rows: the reference for betti._koszul_module_homology, which
-    builds nothing it can prove zero and restricts each rank to the free
-    rows of the last.  ideal_degree is accepted and ignored, so the oracle
-    can stand in for that routine."""
-    spots = [_koszul_spots(VAR_DEGREES, a, j) for j in range(5)]
+def full_module_homology(field, degs, a, dim, action, known=()):
+    """Homology dims (H_0..H_n), n = len(degs), at degree a of the Koszul
+    complex of strands._koszul_differential on a module, by building and
+    eliminating every d_j, empty or not, on all its rows: the reference for
+    strands._koszul_homology on the ring, R/I and H1, which builds nothing
+    it can prove zero and restricts each rank to the free rows of the last.
+    known, the homology that routine is given where a proof gives it, is
+    ignored here: every rank is computed."""
+    n = len(degs)
+    spots = [_koszul_spots(degs, a, j) for j in range(n + 1)]
     dims = [sum(dim(b) for _, b in group) for group in spots]
-    ranks = [0] + [mat_rank(_koszul_differential(field, VAR_DEGREES, a, j, dim, action))
-                   for j in range(1, 5)] + [0]
-    return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(5))
+    ranks = [0] + [mat_rank(_koszul_differential(field, degs, a, j, dim, action))
+                   for j in range(1, n + 1)] + [0]
+    return tuple(dims[j] - ranks[j] - ranks[j + 1] for j in range(n + 1))
 
 
 def full_betti_table(sys_, degrees, convention="IdealConvention"):
@@ -173,7 +175,7 @@ def full_betti_table(sys_, degrees, convention="IdealConvention"):
     dim, action = partial(hf_quotient, sys_), partial(_quotient_action, sys_)
     entries = {}
     for a in sorted(set(map(tuple, degrees))):
-        for j, h in enumerate(full_module_homology(sys_.field, a, dim, action)):
+        for j, h in enumerate(full_module_homology(sys_.field, VAR_DEGREES, a, dim, action)):
             if h:
                 entries[(j, a)] = h
     if convention == "IdealConvention":

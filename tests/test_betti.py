@@ -10,17 +10,17 @@ from functools import partial
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bigres.exactcore import GF, QQ, lift_primes
+from bigres.exactcore import GF, QQ, lift_primes, mat_rank
 from bigres.bipoly import BiPoly, SystemF, strand_dim
 from bigres.betti import (BettiTable, ResolutionComplex,
                           alicia_syzygy, betti_table, hb_kernel, koszul_syzygies,
                           mcomplex_dims, mcomplex_sums, nonkoszul_beta1,
                           poly_mat_is_zero, poly_mat_mul, prop32_matrices,
                           route_equality_report, syz3star, verify_resolution)
-from bigres import betti, strands
+from bigres import betti, exactcore, strands
 from bigres.segre import conic_resolution, detect_conic
-from bigres.strands import (VAR_DEGREES, _h1_action, _koszul_spots, h1_dim, hf_quotient,
-                            is_generic, koszul_strand_homology)
+from bigres.strands import (VAR_DEGREES, _h1_action, _koszul_spots, _ring_differential, h1_dim,
+                            hf_quotient, is_generic, koszul_strand_homology)
 from bigres.cli import load_system
 from helpers import (data_path, full_betti_table, full_module_homology, load_json,
                      random_bpf_system, random_form, uncertified)
@@ -207,7 +207,7 @@ def _assert_matches_full_oracle(sys_, box, monkeypatch):
         assert (got.to_json(), got.warning) == (want.to_json(), want.warning), conv
     dim, action = partial(h1_dim, sys_), partial(_h1_action, sys_)
     for a in degrees:
-        want = full_module_homology(sys_.field, a, dim, action)
+        want = full_module_homology(sys_.field, VAR_DEGREES, a, dim, action)
         if want[3] or want[4]:
             with pytest.raises(ArithmeticError, match="tail"):
                 mcomplex_dims(sys_, a)
@@ -215,7 +215,7 @@ def _assert_matches_full_oracle(sys_, box, monkeypatch):
             assert mcomplex_dims(sys_, a) == want, a
     got = (_outcome(lambda: mcomplex_sums(sys_, box)),
            _outcome(lambda: route_equality_report(sys_, degrees)))
-    monkeypatch.setattr(betti, "_koszul_module_homology", full_module_homology)
+    monkeypatch.setattr(strands, "_koszul_homology", full_module_homology)
     monkeypatch.setattr(betti, "betti_table", full_betti_table)
     assert got == (_outcome(lambda: mcomplex_sums(sys_, box)),
                    _outcome(lambda: route_equality_report(sys_, degrees)))
@@ -260,18 +260,29 @@ def test_proved_zero_differentials_are_not_built(name, monkeypatch):
     # betti_table builds no Koszul differential where Tor of R/I is proved
     # zero (a != (0,0), a1 < d1 or a2 < d2) and never d_1 or d_2 on R/I,
     # whose ranks rules C and F give; neither module builds a differential
-    # with an empty side, so nothing is built where every spot is empty
+    # with an empty side, so nothing is built where every spot is empty.
+    # The ring complex never builds d_1, as H_0 = hf is known, and
+    # eliminates d_3 only on the dims_2 - rank d_2 rows at the free columns
+    # of d_2 (rule E)
     built = []
     koszul_differential = strands._koszul_differential
 
     def recording(field, degs, a, j, dim, action):
-        if degs == VAR_DEGREES:
-            sides = [sum(dim(b) for _, b in _koszul_spots(degs, a, i)) for i in (j - 1, j)]
+        sides = [sum(dim(b) for _, b in _koszul_spots(degs, a, i)) for i in (j - 1, j)]
+        if degs != VAR_DEGREES:
+            module = "R"
+        else:
             module = "R/I" if action.func is strands._quotient_action else "H1"
-            built.append((module, a, j, *sides))
+        built.append((module, a, j, *sides))
         return koszul_differential(field, degs, a, j, dim, action)
 
+    def eliminating(m, rref):
+        built.append(("rref", m.rows, m.cols))
+        return rref(m)
+
     monkeypatch.setattr(strands, "_koszul_differential", recording)
+    for mod in (exactcore, strands):
+        monkeypatch.setattr(mod, "rref", partial(eliminating, rref=mod.rref))
     sys_ = load_system(data_path(name))
     d = sys_.d
     box = (3 * d[0] + 3, 3 * d[1] + 3)
@@ -279,15 +290,29 @@ def test_proved_zero_differentials_are_not_built(name, monkeypatch):
     betti_table(sys_, box=box)
     for a in degrees:
         _outcome(lambda: mcomplex_dims(sys_, a))
+    for a in degrees:
+        hf_quotient(sys_, a)
+    # with every hf record stored, what follows is the ring complex's homology
+    ring_from = len(built)
+    for a in degrees:
+        koszul_strand_homology(sys_, a, 0)
+    monkeypatch.undo()
     dims = {"R/I": partial(hf_quotient, sys_), "H1": partial(h1_dim, sys_)}
-    assert {module for module, *_ in built} == set(dims)
-    for module, a, j, rows, cols in built:
+    builds = [b for b in built[:ring_from] if b[0] in dims]  # d_1 of hf and _free aside
+    assert {module for module, *_ in builds} == set(dims)
+    for module, a, j, rows, cols in builds:
         assert rows and cols, (module, a, j)
         assert any(dims[module](b)
                    for i in range(5) for _, b in _koszul_spots(VAR_DEGREES, a, i))
         if module == "R/I":
             assert j > 2, a
             assert a == (0, 0) or (a[0] >= d[0] and a[1] >= d[1]), a
+    ring = built[ring_from:]
+    assert {(e[0], e[2]) for e in ring if e[0] != "rref"} == {("R", 2), ("R", 3)}
+    for k, (module, a, j, *sides) in enumerate(ring):
+        if module == "R" and j == 3:
+            rows = sides[0] - mat_rank(_ring_differential(sys_, a, 2))
+            assert ring[k + 1] == ("rref", rows, sides[1]), a
 
 
 def _strand_facts(sys_, degrees, box):

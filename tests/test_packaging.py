@@ -61,6 +61,12 @@ def test_matrix_products_only_in_exactcore():
     assert not products, products
 
 
+def _named(node):
+    # the name a node reads, bare or as a module attribute; None if none
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
 def _named_in(paths, names):
     # {name: {(module, enclosing top-level function)}} for every read of a
     # name, bare or as a module attribute
@@ -68,8 +74,7 @@ def _named_in(paths, names):
     for path, tree in _trees(paths):
         for top in tree.body:
             for node in ast.walk(top):
-                name = node.id if isinstance(node, ast.Name) else \
-                    node.attr if isinstance(node, ast.Attribute) else None
+                name = _named(node)
                 if name in sites:
                     sites[name].add((path.stem, getattr(top, "name", None)))
     return sites
@@ -77,20 +82,33 @@ def _named_in(paths, names):
 
 def test_polynomial_matrix_kernel_is_the_only_route():
     # strands of polynomial matrices are built by betti.poly_strand (and the
-    # ring differential by strands._ring_differential), and (1,n) forms are
-    # split only by bipoly.theta_matrix
+    # ring Koszul complex from its one action, strands._ring_action), and
+    # (1,n) forms are split only by bipoly.theta_matrix
     sites = _named_in(SRC.glob("*.py"), ("mul_matrix", "split_st"))
-    assert sites["mul_matrix"] == {("strands", "_ring_differential"),
+    assert sites["mul_matrix"] == {("strands", "_ring_action"),
                                    ("betti", "poly_strand")}, sites["mul_matrix"]
     assert sites["split_st"] == {("bipoly", "theta_matrix")}, sites["split_st"]
 
 
 def test_koszul_homology_has_one_loop():
-    # Koszul differentials are built only by the ring complex and by the one
-    # module-homology routine, which skips every one that is proved zero
+    # Koszul differentials are built only by the one homology routine, which
+    # skips every one that is proved zero, and by the ring differential;
+    # that is only ever asked for the generator strand d_1 (the literal
+    # j = 1), so no second loop over ring ranks can come back
     paths = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     assert _named_in(paths, ("_koszul_differential",))["_koszul_differential"] == {
-        ("betti", "_koszul_module_homology"), ("strands", "_ring_differential")}
+        ("strands", "_koszul_homology"), ("strands", "_ring_differential")}
+    calls, reads = [], 0
+    for path, tree in _trees(paths):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _named(node.func) == "_ring_differential":
+                j = node.args[2] if len(node.args) > 2 else \
+                    next((k.value for k in node.keywords if k.arg == "j"), None)
+                calls.append((f"{path.name}:{node.lineno}",
+                              isinstance(j, ast.Constant) and j.value == 1))
+            reads += _named(node) == "_ring_differential"
+    assert calls and all(ok for _, ok in calls), calls
+    assert reads == len(calls)  # never passed on as a value
 
 
 def test_exactcore_functions_have_callers():

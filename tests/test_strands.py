@@ -241,27 +241,43 @@ def test_ring_differential_builds_each_block_once(monkeypatch):
     assert calls == [(2, 2)] * 3
 
 
+# random basepoint-free nets, and two nets with basepoints: sys_bp, whose
+# basepoints are isolated, and the common factor net, a curve of
+# basepoints, whose ring H_2 is nonzero (at 20 degrees of its box, 1 at
+# (3,5) and 2 at (4,5)); that is the only input where rule E drops rows of
+# the ring d_3 that matter
+_STORE_NETS = {
+    "d0": lambda fld: random_bpf_system(fld, (1, 1), random.Random(31)),
+    "d1": lambda fld: random_bpf_system(fld, (1, 2), random.Random(32)),
+    "d2": lambda fld: random_bpf_system(fld, (2, 2), random.Random(62)),
+    "common-factor": lambda fld: _common_factor_net(fld),
+    "sys_bp": lambda fld: _over(load_system(data_path("sys_bp.json")), fld),
+}
+
+
 @pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=ORACLE_IDS, indirect=True)
-@pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 2)])
-def test_store_matches_direct_eliminations(d, fld):
+@pytest.mark.parametrize("net", list(_STORE_NETS))
+def test_store_matches_direct_eliminations(net, fld):
     # hf, Koszul H_0 and the Betti quotient strands read one stored
     # elimination; this compares every strand fact with fresh ranks of
     # matrices built here, bypassing the store
-    rng = random.Random(30 * d[0] + d[1])
-    sys_ = random_bpf_system(fld, d, rng)
-    d1, d2 = d
-    for a1 in range(3 * d1 + 3):
-        for a2 in range(3 * d2 + 3):
+    sys_ = _STORE_NETS[net](fld)
+    d = sys_.d
+    h2 = 0
+    for a1 in range(3 * d[0] + 4):
+        for a2 in range(3 * d[1] + 4):
             a = (a1, a2)
             ranks = (0,) + _direct_koszul_ranks(sys_, a) + (0,)
             dims = _ring_spot_dims(d, a)
             for i in range(4):
                 assert koszul_strand_homology(sys_, a, i) == \
                     dims[i] - ranks[i] - ranks[i + 1], (a, i)
+            h2 += koszul_strand_homology(sys_, a, 2) > 0
             assert hf_quotient(sys_, a) == dims[0] - ranks[1]
             phis = phi_matrices(sys_, a)
             assert h1_dim(sys_, a) == sum(p.cols - mat_rank(p) for p in phis)
     assert is_generic(sys_) == full_box_generic(sys_)
+    assert h2 == (20 if net == "common-factor" else 0)
 
 
 @pytest.mark.parametrize("fld", ORACLE_FIELDS, ids=ORACLE_IDS, indirect=True)
