@@ -187,6 +187,29 @@ def nonkoszul_beta1(table, d):
     return out
 
 
+def box_nonkoszul_beta1(sys, box):
+    """nonkoszul_beta1 of the Betti table on [0, box], with Tor computed
+    only where a non-Koszul first syzygy can sit.
+
+    Let Syz be the module of first syzygies of f0, f1, f2 and Kos its
+    submodule of Koszul syzygies, generated by the three in degree 2d, so
+    that Syz/Kos is H1 of the Koszul complex on the net.  Tensoring 0 ->
+    Kos -> Syz -> H1 -> 0 with k = R/(s,t,u,v) gives the exact sequence
+    Tor_0(Kos)_a -> Tor_0(Syz)_a -> Tor_0(H1)_a -> 0, and Tor_0(Kos)_a = 0
+    at every a != 2d.  So there beta_1(I)_a = Tor_0(Syz)_a = Tor_0(H1)_a,
+    which is 0 wherever H1_a = 0, with or without basepoints.  On a net
+    that strands._free proves basepoint-free h1_dim is dim H1 (see
+    strands.is_generic), so Tor is computed only at 2d and where h1_dim >
+    0; on a net with a basepoint h1_dim need not be dim H1, and Tor is
+    computed on the whole box.
+    """
+    d = sys.d
+    degrees = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)]
+    if strands._free(sys):
+        degrees = [a for a in degrees if a == (2 * d[0], 2 * d[1]) or h1_dim(sys, a) > 0]
+    return nonkoszul_beta1(betti_table(sys, degrees=degrees), d)
+
+
 def mcomplex_dims(sys, a):
     """Homology dims (i=0..4) of the variable Koszul complex on H1 at a.
 

@@ -17,7 +17,7 @@ from .exactcore import GF, QQ
 from .bipoly import BiPoly, SystemF
 from .combinat import chi, nd, nd_grid, neg_part, pos_part, render_grid
 from .strands import check_box, h1_dim, hf_quotient, is_generic
-from .betti import betti_table, nonkoszul_beta1, verify_resolution
+from .betti import betti_table, box_nonkoszul_beta1, verify_resolution
 from .segre import (ConicRedirect, ImpossibleFactorization, basepoint_free,
                     classify, conic_resolution, extract_factorization,
                     three_point_resolution)
@@ -188,15 +188,10 @@ def _boundary_segments(d, box):
 
 
 def plot_points(sys_, box):
-    """(a1, a2, beta) of the non-Koszul first syzygies in the box: the Betti
-    table is computed only on the H1 support and at 2d."""
-    d = sys_.d
-    support = [(a1, a2) for a1 in range(box[0] + 1) for a2 in range(box[1] + 1)
-               if h1_dim(sys_, (a1, a2)) > 0]
-    degrees = sorted(set(support) | {(2 * d[0], 2 * d[1])})
-    table = betti_table(sys_, degrees=degrees)
-    return [(a[0], a[1], m) for a, m in nonkoszul_beta1(table, d).items()
-            if a[0] <= box[0] and a[1] <= box[1]]
+    """(a1, a2, beta) of the non-Koszul first syzygies in the box, by
+    betti.box_nonkoszul_beta1: Tor only on the H1 support and at 2d of a
+    basepoint-free net, on the whole box of a net with a basepoint."""
+    return [(a[0], a[1], m) for a, m in box_nonkoszul_beta1(sys_, box).items()]
 
 
 def emit_svg(spec, path):

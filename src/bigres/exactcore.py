@@ -44,32 +44,28 @@ def _is_prime(n):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Ground field: kind is "rationals" or "prime" (with modulus p > 3).
+    """Ground field: GF(p) for a prime modulus p > 3, Q when p is None.
 
     Matrices over it are numpy arrays of one dtype: int64 residues in [0, p)
     over GF(p), Fraction objects over Q.  dtype, zeros and reduce are the
-    only matrix facts that depend on the field.
+    only matrix facts that depend on the field.  Build it with QQ or GF(p).
     """
 
-    kind: str
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("rationals", "prime"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "prime":
-            if self.p is None or self.p <= 3 or not _is_prime(self.p):
-                raise ValueError(f"modulus must be a prime > 3, got {self.p}")
-            # keep _rref_prime exact: 128 (p-1)^2 < 2^53 gives it one panel
-            # of updates below 2^51 - p (see its docstring)
-            if 128 * (self.p - 1) ** 2 >= 2 ** 53:
-                raise ValueError(f"modulus too large for exact elimination: {self.p}")
-        elif self.p is not None:
-            raise ValueError("rationals take no modulus")
+        if self.p is None:
+            return
+        if self.p <= 3 or not _is_prime(self.p):
+            raise ValueError(f"modulus must be a prime > 3, got {self.p}")
+        # keep _rref_prime exact: 128 (p-1)^2 < 2^53 gives it one panel
+        # of updates below 2^51 - p (see its docstring)
+        if 128 * (self.p - 1) ** 2 >= 2 ** 53:
+            raise ValueError(f"modulus too large for exact elimination: {self.p}")
 
     @property
     def is_prime_field(self):
-        return self.kind == "prime"
+        return self.p is not None
 
     @property
     def dtype(self):
@@ -135,11 +131,13 @@ class FieldSpec:
         return Fraction(rng.randint(-100, 100))
 
 
-QQ = FieldSpec("rationals")
+QQ = FieldSpec()
 
 
 def GF(p=DEFAULT_PRIME):
-    return FieldSpec("prime", p)
+    if p is None:
+        raise ValueError("modulus must be a prime > 3, got None")
+    return FieldSpec(p)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from .exactcore import GF, DEFAULT_PRIME, ExactMatrix, mat_rank
 from .bipoly import BiPoly, SystemF, strand_dim, theta_matrix
 from .combinat import chi, nd, pos_part
 from .strands import check_box, critical_ranges, h1_dim, hf_quotient, is_generic
-from .betti import betti_table, nonkoszul_beta1
+from .betti import box_nonkoszul_beta1
 from .segre import (ImpossibleFactorization, basepoint_free, detect_conic,
                     extract_factorization, square_strand_singular)
 
@@ -154,26 +154,13 @@ def rs_check(sys, box):
     return out
 
 
-def _beta1_degrees(d, box):
-    """Candidate bidegrees for first syzygies of a generic system."""
-    cand = {(2 * d[0], 2 * d[1])}
-    for a1 in range(box[0] + 1):
-        for a2 in range(box[1] + 1):
-            if nd(d, (a1, a2)) > 0:
-                for s1 in range(3):
-                    for s2 in range(3):
-                        if a1 + s1 <= box[0] and a2 + s2 <= box[1]:
-                            cand.add((a1 + s1, a2 + s2))
-    return sorted(cand)
-
-
-def generic_report(cfg, planted=(), histogram=True, collect_grid=False):
+def generic_report(cfg, planted=(), collect_grid=False):
     """Run cfg.trials random draws (plus planted systems) and tabulate.
 
     Generic trials are checked pointwise against n_d on the box; dim H1
     below n_d aborts (proved bound), above n_d is recorded as a mismatch.
     The beta1 histogram aggregates non-Koszul first syzygies over the
-    generic trials only.
+    generic trials only (betti.box_nonkoszul_beta1 on the box).
     """
     rep = ExperimentReport(cfg.d, cfg.trials + len(planted), cfg.seed,
                            field_label(cfg.field), cfg.box)
@@ -203,10 +190,8 @@ def generic_report(cfg, planted=(), histogram=True, collect_grid=False):
                 if collect_grid:
                     rep.grid_rows.append(
                         [t, a1, a2, h1, lower, hf_quotient(sys, a), chi(d, a)])
-        if histogram:
-            table = betti_table(sys, degrees=_beta1_degrees(d, cfg.box))
-            for a, m in nonkoszul_beta1(table, d).items():
-                rep.betti_histogram[a] = rep.betti_histogram.get(a, 0) + m
+        for a, m in box_nonkoszul_beta1(sys, cfg.box).items():
+            rep.betti_histogram[a] = rep.betti_histogram.get(a, 0) + m
     rep.rs_violations = [(t,) + v for t, sys in runs for v in rs_check(sys, cfg.box)]
     return rep
 

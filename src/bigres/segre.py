@@ -1,7 +1,8 @@
 """Geometry of the span W against Segre loci: basepoints, conics, factorizations.
 
-The exact basepoint test, for every d, is the rank of one square generator
-strand, read from the store record strands._free.  For d=(1,n) a net with a
+The exact basepoint test, for every d, is whether R/I is 0 at (3d1 - 1,
+2d2 - 1), where the generator strand is square (the store record
+strands._free, read off the quotient record).  For d=(1,n) a net with a
 basepoint also gets a witness through the 2x3 matrix theta of split forms
 (bipoly.theta_matrix): the gcd of its three 2x2 minors (betti.cross) is
 nonconstant, and its roots give the basepoints.
@@ -56,8 +57,9 @@ def _st_kernel_at(sys, uv_point):
 
 
 def basepoint_free(sys):
-    """Exact verdict for every d: Free iff the square generator strand of
-    strands._free has full rank (the proof is in its docstring).
+    """Exact verdict for every d: Free iff hf_quotient is 0 at (3d1 - 1,
+    2d2 - 1), that is iff the square generator strand there has full rank
+    (strands._free; the proof is in its docstring).
 
     A net with a basepoint and d1 == 1 also gets a witness or evidence:
     the gcd of the three 2x2 minors of theta, nonconstant there, whose roots

@@ -20,21 +20,26 @@ the phi pair, the ring homology, the R/I and H1 actions of each variable
 and, over Q, the hf certificate at a degree are each computed once per
 system, and hf_quotient, h1_dim, koszul_strand_homology, is_generic and
 the Koszul complexes on R/I and H1 in betti all read the same records.
-Some records depend on no degree: the basepoint test _free, the rank of the
-square generator strand at (3d1 - 1, 2d2 - 1), which segre.basepoint_free
-(and so the lab draws), is_generic and the warning of betti.betti_table all
-read, and, for a system over Q, its image _image, the reduction mod the
-first prime of exactcore.lift_primes that divides no denominator and keeps
-the three forms independent; _image_free is _free of that image.  Over Q,
-_free, is_generic, h1_dim and hf_quotient return the value of the image
+Some records depend on no degree: the basepoint test _free, which
+segre.basepoint_free (and so the lab draws), is_generic and the warning
+of betti.betti_table all read, and, for a system over Q, its image
+_image, the reduction mod the first prime of exactcore.lift_primes that
+divides no denominator and keeps the three forms independent;
+_image_free is _free of that image.  _free is whether hf_quotient is 0 at
+(3d1 - 1, 2d2 - 1), where the generator strand is square, so it reads the
+quotient record and eliminates nothing of its own.  Over Q, _free,
+is_generic, h1_dim and hf_quotient return the value of the image
 wherever a proof makes it the value over Q (the proofs are in their
 docstrings and in those of _image_free, _h1_certified and _hf_certified),
 and compute over Q wherever none does, degree by degree; betti.betti_table
 reads Tor the same way.  A system over GF(p) never asks for an image.
-The quotient and the phi pair keep one kind of record, kernel_data: for
-the quotient it is the kernel of the transposed generator strand d_1^T,
-the inverse system V_b = (I_b)^perp of I at that degree, whose free
-monomials span R/I there.
+The quotient and the phi pair keep one kind of record, the (kernel,
+free columns) pair of kernel_data: for the quotient it is the kernel of
+the transposed generator strand d_1^T, the inverse system V_b = (I_b)^perp
+of I at that degree, whose free monomials span R/I there; for phi1 and
+phi2 it is their kernels, whose dims sum to h1 and whose free columns are
+the H1 coordinates.  The generator strand [f0 f1 f2] is eliminated here
+only by _inverse_system, as the quotient record on the edge below.
 
 Off one edge that record is not eliminated from d_1^T, a matrix of 3 dim
 R_(b-d) x dim R_b.  _quotient_kernel builds V_b from V_(b-e) and
@@ -63,7 +68,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .exactcore import (GF, ExactMatrix, _free_columns, kernel_data, lift_primes,
-                        mat_from_blocks, mat_mul, mat_rank, rref)
+                        mat_from_blocks, mat_mul, rref)
 from .bipoly import BiPoly, SystemF, _product, _term_rows, mul_matrix, strand_dim
 
 
@@ -275,15 +280,16 @@ def _free(sys):
       H^2(O(m-3d)).  By Kuenneth both vanish, since O(-1) on P1 has no
       cohomology at all: m - 2d = (d1 - 1, -1) and m - 3d = (-1, -d2 - 1).
       As m - d >= 0, H^0 of O(m-d) and of O(m) are R_(m-d) and R_m.
+    The strand is square, so it has full rank iff it is onto, iff R/I is 0
+    at m: the test is hf_quotient(sys, m) == 0, read off the quotient
+    record, and the strand is not eliminated a second time.
 
-    Over Q the answer is True when the image is Free (_image_free), with no
-    elimination over Q; otherwise it is the rank over Q.  The record holds
-    only a bool, never sys.
+    Over Q, hf_quotient returns the image's value wherever _hf_certified
+    holds, and m lies outside both critical strips, so a Free image answers
+    True with no elimination over Q.  The record holds only a bool, never
+    sys.
     """
-    if not sys.field.is_prime_field and _image_free(sys):
-        return True
-    m = (3 * sys.d[0] - 1, 2 * sys.d[1] - 1)
-    return mat_rank(_ring_differential(sys, m, 1)) == strand_dim(m)
+    return hf_quotient(sys, (3 * sys.d[0] - 1, 2 * sys.d[1] - 1)) == 0
 
 
 def _quotient_kernel(sys, b):
@@ -431,31 +437,12 @@ def _inverse_system(sys, b, e):
             tuple(n - 1 - c for c in reversed(piv)))
 
 
-@dataclass(frozen=True)
-class _PhiKernel:
-    """One phi map at one degree: its source basis, the kernel_data of its
-    matrix (kernel basis columns and free columns) and its row count."""
-
-    src: InverseStrandBasis
-    kernel: ExactMatrix
-    free: tuple
-    rows: int
-
-    @property
-    def nullity(self):
-        return self.kernel.cols
-
-    @property
-    def full_rank(self):
-        cols = self.src.dim
-        return cols - self.nullity == min(self.rows, cols)
-
-
 @_per_system
 def _phi_kernels(sys, a):
-    """(_PhiKernel of phi1, _PhiKernel of phi2) at a."""
-    return tuple(_PhiKernel(src, *kernel_data(phi), phi.rows)
-                 for (src, _), phi in zip(_phi_spaces(sys.d, a), phi_matrices(sys, a)))
+    """(kernel_data(phi1), kernel_data(phi2)) at a: for each phi, its kernel
+    basis and free columns, the record kind of _quotient_kernel.  The source
+    and target of each phi are _phi_spaces(sys.d, a)."""
+    return tuple(kernel_data(phi) for phi in phi_matrices(sys, a))
 
 
 @_per_system
@@ -487,21 +474,25 @@ def _h1_action(sys, b, xi):
     dx = VAR_DEGREES[xi]
     x = BiPoly.variable(sys.field, "stuv"[xi])
     src, tgt = _phi_kernels(sys, b), _phi_kernels(sys, (b[0] + dx[0], b[1] + dx[1]))
-    blocks = {(k, k): mat_mul(_inverse_block(x, ks.src), ks.kernel).data[list(kt.free)]
-              for k, (ks, kt) in enumerate(zip(src, tgt)) if ks.nullity and kt.nullity}
-    return mat_from_blocks(sys.field, [k.nullity for k in tgt], [k.nullity for k in src],
+    blocks = {(k, k): mat_mul(_inverse_block(x, space), Ks).data[list(Ft)]
+              for k, ((space, _), (Ks, _), (Kt, Ft))
+              in enumerate(zip(_phi_spaces(sys.d, b), src, tgt)) if Ks.cols and Kt.cols}
+    return mat_from_blocks(sys.field, [K.cols for K, _ in tgt], [K.cols for K, _ in src],
                            blocks)
 
 
 def h1_dim(sys, a):
-    """dim of the middle Koszul homology strand: ker(phi1) + ker(phi2).
+    """dim of the middle Koszul homology strand in the phi model: the sum
+    of the kernel dims of phi1 and phi2 in the _phi_kernels record.  It is
+    H1 on a basepoint-free net (see is_generic); with a basepoint it may
+    differ from koszul_strand_homology(sys, a, 1).
 
     Over Q, where _h1_certified holds, both phi have full rank, and the
     value is the closed form _full_rank_h1, that of the image too.
     """
     if not sys.field.is_prime_field and _h1_certified(sys, a):
         return _full_rank_h1(sys.d, a)
-    return sum(k.nullity for k in _phi_kernels(sys, a))
+    return sum(K.cols for K, _ in _phi_kernels(sys, a))
 
 
 def hf_quotient(sys, a):
@@ -647,8 +638,12 @@ def is_generic(sys, box=None):
 
 
 def _full_rank(sys, a):
-    """Whether phi1 and phi2 both have full rank at a."""
-    return all(k.full_rank for k in _phi_kernels(sys, a))
+    """Whether phi1 and phi2 both have full rank at a: whether the sum of
+    their nullities is _full_rank_h1.  Each nullity cols - rank is at least
+    max(cols - rows, 0), with equality exactly at full rank, and
+    _full_rank_h1 is the sum of those two bounds; so the sum of nullities
+    reaches it exactly when both phi have full rank."""
+    return sum(K.cols for K, _ in _phi_kernels(sys, a)) == _full_rank_h1(sys.d, a)
 
 
 def _frontier(d, box, free):

@@ -170,8 +170,8 @@ def full_betti_table(sys_, degrees, convention="IdealConvention"):
     """The Betti table by full_module_homology at every degree, and the
     basepoint warning by a dense elimination at 3d (hf(3d) != 0): the
     reference for betti.betti_table, which skips degrees where Tor is
-    proved zero and reads the warning off the square strand of
-    strands._free."""
+    proved zero and reads the warning off strands._free, hf at (3d1 - 1,
+    2d2 - 1)."""
     dim, action = partial(hf_quotient, sys_), partial(_quotient_action, sys_)
     entries = {}
     for a in sorted(set(map(tuple, degrees))):

@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from bigres.exactcore import GF, QQ, lift_primes, mat_rank
 from bigres.bipoly import BiPoly, SystemF, strand_dim
 from bigres.betti import (BettiTable, ResolutionComplex,
-                          alicia_syzygy, betti_table, hb_kernel, koszul_syzygies,
+                          alicia_syzygy, betti_table, box_nonkoszul_beta1, hb_kernel,
+                          koszul_syzygies,
                           mcomplex_dims, mcomplex_sums, nonkoszul_beta1,
                           poly_mat_is_zero, poly_mat_mul, prop32_matrices,
                           route_equality_report, syz3star, verify_resolution)
@@ -23,7 +24,7 @@ from bigres.strands import (VAR_DEGREES, _h1_action, _koszul_spots, _ring_differ
                             hf_quotient, is_generic, koszul_strand_homology)
 from bigres.cli import load_system
 from helpers import (data_path, full_betti_table, full_module_homology, load_json,
-                     random_bpf_system, random_form, uncertified)
+                     random_bpf_system, random_form, random_system, uncertified)
 
 FLD = GF()
 
@@ -92,6 +93,32 @@ def test_nonkoszul_removes_exactly_three_at_2d():
     nk = nonkoszul_beta1(tab, (1, 2))
     assert nk == {(1, 6): 1, (3, 3): 2}
     assert tab.beta(1, (2, 4)) == 3  # the Koszul triple itself
+
+
+@pytest.mark.parametrize("name", ["sys_bp.json", "sys_conic12.json", "sys_maps6.json"])
+def test_box_nonkoszul_beta1_matches_the_box_table_on_data(name):
+    # Tor only on the H1 support and at 2d of a basepoint-free net, on the
+    # whole box of sys_bp, whose beta1 at (1,2) and (2,1) lies where the
+    # phi model's h1_dim is 0
+    sys_ = load_system(data_path(name))
+    d = sys_.d
+    box = (3 * d[0] + 3, 3 * d[1] + 3)
+    assert box_nonkoszul_beta1(sys_, box) == nonkoszul_beta1(betti_table(sys_, box=box), d)
+
+
+@pytest.mark.parametrize("fld", [GF(5), GF(7), QQ], ids=["GF5", "GF7", "QQ"])
+def test_box_nonkoszul_beta1_matches_the_box_table(fld):
+    rng = random.Random(29)
+    kinds = set()
+    for d in ((1, 1), (1, 2), (2, 1), (1, 3)):
+        for _ in range(2):
+            sys_ = random_system(fld, d, rng)
+            box = (3 * d[0] + 3, 3 * d[1] + 3)
+            # a net whose Koszul syzygies are not minimal raises on both routes
+            got = _outcome(lambda: box_nonkoszul_beta1(sys_, box))
+            assert got == _outcome(lambda: nonkoszul_beta1(betti_table(sys_, box=box), d)), d
+            kinds.add((strands._free(sys_), isinstance(got, dict)))
+    assert (True, True) in kinds
 
 
 def test_basepoint_input_sets_warning():
@@ -298,7 +325,7 @@ def test_proved_zero_differentials_are_not_built(name, monkeypatch):
         koszul_strand_homology(sys_, a, 0)
     monkeypatch.undo()
     dims = {"R/I": partial(hf_quotient, sys_), "H1": partial(h1_dim, sys_)}
-    builds = [b for b in built[:ring_from] if b[0] in dims]  # d_1 of hf and _free aside
+    builds = [b for b in built[:ring_from] if b[0] in dims]  # d_1 of hf aside
     assert {module for module, *_ in builds} == set(dims)
     for module, a, j, rows, cols in builds:
         assert rows and cols, (module, a, j)

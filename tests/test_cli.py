@@ -234,6 +234,16 @@ def test_svg_deterministic(tmp_path, capsys):
     assert "<title>beta1(" in text
 
 
+def test_plot_marks_every_beta1_of_a_net_with_basepoints(tmp_path, capsys):
+    # sys_bp has beta1 at (1,2) and (2,1), where the phi model's h1_dim is
+    # 0; the plot reads them off the Betti table of the whole box
+    out = tmp_path / "bp.svg"
+    assert main(["plot", BP, "--box", "6,6", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} (2 markers)\n"
+    text = out.read_text()
+    assert text.count("<title>beta1(") == 2
+
+
 def test_svg_empty_points(tmp_path, capsys):
     rng = random.Random(9)
     vecs = [[FLD.rand(rng) for _ in range(4)] for _ in range(3)]

@@ -111,7 +111,7 @@ def test_rs_check_maps6_inside_critical():
 
 def test_planted_maps6_report():
     cfg = ExperimentConfig((1, 6), trials=1, seed=3, box=(4, 20))
-    rep = generic_report(cfg, planted=[_maps6()], histogram=False)
+    rep = generic_report(cfg, planted=[_maps6()])
     assert rep.generic_count == 1
     assert rep.nongeneric == [(1, (3, 6))]
     planted_viols = [v for v in rep.rs_violations if v[0] == 1]
@@ -155,7 +155,7 @@ def test_probe_generic_rows():
 
 def test_grid_csv(tmp_path):
     cfg = ExperimentConfig((1, 1), trials=1, seed=2)
-    rep = generic_report(cfg, histogram=False, collect_grid=True)
+    rep = generic_report(cfg, collect_grid=True)
     assert len(rep.grid_rows) == (cfg.box[0] + 1) * (cfg.box[1] + 1)
     out = tmp_path / "grid.csv"
     rep.write_csv(out)

@@ -111,6 +111,19 @@ def test_koszul_homology_has_one_loop():
     assert reads == len(calls)  # never passed on as a value
 
 
+def test_generator_strand_is_eliminated_in_two_places():
+    # the generator strand [f0 f1 f2] is built only as the quotient record
+    # on its edge and as the (3,n) syzygies of conic detection; the
+    # basepoint test reads hf off the quotient record, so strands takes no
+    # rank of its own
+    sites = _named_in(SRC.glob("*.py"), ("_ring_differential",))["_ring_differential"]
+    assert sites == {("strands", "_inverse_system"), ("segre", "detect_conic")}, sites
+    tree = ast.parse((SRC / "strands.py").read_text())
+    names = {node.name if isinstance(node, ast.alias) else _named(node)
+             for node in ast.walk(tree)}
+    assert "mat_rank" not in names
+
+
 def test_exactcore_functions_have_callers():
     # every public function of exactcore is named in another package module
     # or in scripts/, by a name, an attribute or an import

@@ -219,11 +219,12 @@ def test_provider_actions_are_induced_maps(d, fld):
                     mat_mul(_quotient_action(sys_, b, xi), proj_src), ("R/I", b, xi)
                 act = _h1_action(sys_, b, xi).data
                 r0 = c0 = 0
-                for ks, kt in zip(_phi_kernels(sys_, b), _phi_kernels(sys_, bt)):
-                    block = ExactMatrix(fld, act[r0:r0 + kt.nullity, c0:c0 + ks.nullity])
-                    assert mat_mul(_inverse_block(x, ks.src), ks.kernel) == \
-                        mat_mul(kt.kernel, block), ("H1", b, xi)
-                    r0, c0 = r0 + kt.nullity, c0 + ks.nullity
+                for (src, _), (Ks, _), (Kt, _) in zip(_phi_spaces(d, b), _phi_kernels(sys_, b),
+                                                      _phi_kernels(sys_, bt)):
+                    block = ExactMatrix(fld, act[r0:r0 + Kt.cols, c0:c0 + Ks.cols])
+                    assert mat_mul(_inverse_block(x, src), Ks) == \
+                        mat_mul(Kt, block), ("H1", b, xi)
+                    r0, c0 = r0 + Kt.cols, c0 + Ks.cols
 
 
 def test_ring_differential_builds_each_block_once(monkeypatch):
@@ -604,3 +605,50 @@ def test_quotient_kernel_deep_chain():
     sys_ = random_bpf_system(FLD, (1, 1), random.Random(62))
     assert hf_quotient(sys_, (600, 2)) == len(dense_quotient_kernel(sys_, (600, 2))[1])
     assert len(_quotient_records(sys_)) >= 599
+
+
+@pytest.mark.parametrize("fld", [GF(), GF(5), QQ], ids=["GF", "GF5", "QQ"])
+def test_full_rank_matches_phi_ranks(fld):
+    # _full_rank compares the sum of the two nullities with _full_rank_h1;
+    # it must say what the rank of each phi says, also where ranks drop:
+    # on sys_maps6, on a (1,2) net with a basepoint that drops outside the
+    # critical strips, and on random nets, over GF(5) often with basepoints
+    rng = random.Random(43)
+    nets = [random_system(fld, d, rng) for d in ((1, 2), (2, 2), (2, 1))]
+    nets += [_over(load_system(data_path(name)), fld)
+             for name in ("sys_bp.json", "sys_maps6.json")]
+    nets.append(_over(_net_1_2([[0, 0, 13014, 0, 7376, 0], [0, 0, 0, 0, 0, 717],
+                                [0, 19418, 0, 0, 0, 1706]]), fld))
+    drops = 0
+    for sys_ in nets:
+        d = sys_.d
+        for a1 in range(3 * d[0] + 4):
+            for a2 in range(3 * d[1] + 4):
+                want = all(mat_rank(p) == min(p.rows, p.cols)
+                           for p in phi_matrices(sys_, (a1, a2)))
+                assert strands._full_rank(sys_, (a1, a2)) == want, (d, (a1, a2))
+                drops += not want
+    assert drops
+
+
+@pytest.mark.parametrize("d", [(1, 3), (3, 1), (2, 2), (1, 42)], ids=lambda d: f"{d[0]}x{d[1]}")
+def test_cold_basepoint_test_builds_the_generator_strand_on_the_edge(d, monkeypatch):
+    # _free reads hf at (3d1 - 1, 2d2 - 1) off the quotient record, so the
+    # generator strand is built only where the quotient chain eliminates it,
+    # on the edge b_i = d_i of the axis i of the smaller degree, and never
+    # as the square strand off that edge
+    built = []
+    ring_differential = strands._ring_differential
+
+    def recording(sys_, a, j):
+        built.append((tuple(a), j))
+        return ring_differential(sys_, a, j)
+
+    sys_ = random_system(FLD, d, random.Random(d[0] * 100 + d[1]))
+    monkeypatch.setattr(strands, "_ring_differential", recording)
+    free = strands._free(sys_)
+    monkeypatch.undo()
+    i = 0 if d[0] <= d[1] else 1
+    assert built and all(j == 1 and b[i] == d[i] for b, j in built), built
+    m = (3 * d[0] - 1, 2 * d[1] - 1)
+    assert free == (mat_rank(_ring_differential(sys_, m, 1)) == strand_dim(m))
