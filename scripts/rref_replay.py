@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Replay the GF(p) eliminations of one benchmark pass.
+
+Runs one pass of a perfbench workload (perfbench/workloads.py, imported and
+used as it is), records the arguments of every exactcore._rref_prime call
+it makes, over Q lifts included, and then eliminates each recorded matrix
+again, best of 3, with nothing else running.  Prints calls, pivots and
+time per pivot by matrix width:
+
+    python scripts/rref_replay.py --workload tor-1-42 --seed 1
+
+Run it with one BLAS thread (OPENBLAS_NUM_THREADS=1), as the benchmark's
+workers do, so the numbers compare with a benchmark pass.
+"""
+
+import argparse
+import os
+import sys
+import time
+
+import numpy as np
+
+from bigres import exactcore
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+CLASSES = (("<=8", 8), ("<=32", 32), ("<=256", 256), (">256", None))
+
+
+def record(workload, seed):
+    """[(matrix, p)] for every _rref_prime call of one pass, in call order."""
+    wl = WORKLOADS[workload]
+    inputs = wl.setup(seed)
+    calls = []
+    kernel = exactcore._rref_prime
+
+    def recording(a, p):
+        calls.append((np.array(a, copy=True), p))
+        return kernel(a, p)
+
+    exactcore._rref_prime = recording
+    try:
+        wl.run(inputs)
+    finally:
+        exactcore._rref_prime = kernel
+    return calls
+
+
+def replay(calls):
+    """[(width, pivots, best of 3 seconds)] per recorded call."""
+    out = []
+    for a, p in calls:
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            _, piv = exactcore._rref_prime(a, p)
+            best = min(best, time.perf_counter() - t0)
+        out.append((a.shape[1], len(piv), best))
+    return out
+
+
+def width_class(n):
+    return next(name for name, top in CLASSES if top is None or n <= top)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args()
+
+    rows = replay(record(args.workload, args.seed))
+    print(f"workload={args.workload} seed={args.seed} best of 3")
+    print(f"{'width':>6} {'calls':>6} {'pivots':>7} {'ms':>9} {'us/call':>8} {'us/pivot':>9}")
+    for name in [c for c, _ in CLASSES] + ["all"]:
+        sel = [(k, t) for n, k, t in rows if name in ("all", width_class(n))]
+        calls, pivots, secs = len(sel), sum(k for k, _ in sel), sum(t for _, t in sel)
+        per_call = f"{1e6 * secs / calls:8.1f}" if calls else f"{'-':>8}"
+        per_pivot = f"{1e6 * secs / pivots:9.2f}" if pivots else f"{'-':>9}"
+        print(f"{name:>6} {calls:6d} {pivots:7d} {1e3 * secs:9.2f} {per_call} {per_pivot}")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,12 +10,19 @@ offsets.  Elimination has one kernel, _rref_prime, and its pivoting rule
 (first nonzero entry, columns scanned left to right) makes ranks, kernels
 and reduced echelon forms bit-reproducible:
 
-* GF(p): _rref_prime eliminates a float64 copy in 32-wide column panels
-  with delayed reduction, exact as long as every entry stays below 2^51;
-  FieldSpec admits only the p for which one panel of updates does.
+* GF(p): _rref_prime is Gauss-Jordan elimination in 32-wide column
+  panels with delayed reduction.  Inside a panel each pivot is one
+  rank-one update of a contiguous int64 block: the panel's later columns
+  and the transform that eliminates the panel, so a pivot costs O(1)
+  numpy calls whatever its position.  Outside the panel that transform is
+  one float64 (BLAS) product per chunk of rows, and the rows above the
+  panel are eliminated with the rest, so the reduced echelon form needs
+  no back-substitution.  Every float64 entry stays an integer below
+  2^51; FieldSpec admits only the p for which a panel of 32 updates does.
   mat_mul is a float64 (BLAS) product of the residues, its inner dimension
   cut into chunks of (2^51 - p) // (p-1)^2 terms so that every partial sum
-  stays below 2^51.  Both reduce with the one floor reduction _reduce.
+  stays below 2^51.  Both reduce float64 arrays with the one floor
+  reduction _reduce.
 * Q: _rref_rational lifts the RREF from _rref_prime modulo several primes
   and returns it only once an exact integer check proves it.  lift_primes
   is the one order of those primes, which strands._image reads too.
@@ -58,8 +65,9 @@ class FieldSpec:
             return
         if self.p <= 3 or not _is_prime(self.p):
             raise ValueError(f"modulus must be a prime > 3, got {self.p}")
-        # keep _rref_prime exact: 128 (p-1)^2 < 2^53 gives it one panel
-        # of updates below 2^51 - p (see its docstring)
+        # keep _rref_prime exact: 128 (p-1)^2 < 2^53, so a panel of 32
+        # updates of reduced products, 32 (p-1)^2 + 2p, stays below 2^51
+        # (see its docstring)
         if 128 * (self.p - 1) ** 2 >= 2 ** 53:
             raise ValueError(f"modulus too large for exact elimination: {self.p}")
 
@@ -266,26 +274,38 @@ def _terms(p):
 def _rref_prime(a, p):
     """RREF over GF(p); returns (int64 ndarray, list of pivot columns).
 
-    Delayed reduction on a float64 working copy A.  Every entry of A is a
-    nonnegative integer of at most top = 2^51 - p, and it is reduced mod p
-    only when it is about to be used:
+    Gauss-Jordan elimination in column panels of width _PANEL.  The matrix
+    lives in a float64 copy A whose entries are nonnegative integers; the
+    rows found as pivots are moved to the top, in order, as they are found.
 
-    * Column panels of width _PANEL are eliminated forward only (rows below
-      the pivot) in a column-contiguous copy.  The panel column is reduced
-      to find its pivot, and the pivot row entries before they scale a
-      rank-one update.  Multipliers are stored negated (p - l), so every
-      update adds and nothing goes below zero.
-    * The U rows of the panel are the reduced rows times the inverse of the
-      panel's unit lower triangle, and one matmul adds (negated L) @ U to
-      the trailing block.  That block is reduced only when its running bound
-      grow + k (p-1)^2 would pass top.
-    * The pivot rows are normalized, and the reduced form comes from blocked
-      back-substitution on the free columns only; every matmul's inner
-      dimension is chunked to _terms(p) terms and the accumulator is
-      reduced after each chunk.
+    * Panel: its columns that are nonzero below the pivot rows, on all m
+      rows, are copied transposed into the int64 array W, above one row per
+      pivot of the panel for the transform T that eliminates it (row t of
+      that block is column r + t of T, r the pivots before the panel).  A
+      pivot costs O(1) numpy calls: the column is reduced and its pivot row
+      is the first nonzero at or below r + t, swapped into place in every
+      row of W.  The rows of W it acts on are contiguous: the panel columns
+      after it and the transform rows up to its own, which starts as the
+      unit vector of its pivot row.  One rank-one update does it, block +=
+      f (x) c: f is the block's entries in the pivot row times -1/v, v the
+      pivot, and c the pivot column with its pivot entry replaced by v - 1.
+      That subtracts c_i / v times the pivot row from every other row i,
+      rows above r included, and divides the pivot row by v.  f and c are
+      reduced, so an update adds at most (p-1)^2 to an entry.
+    * Trailing columns: the rows A[r:r+k] are swapped like W and reduced,
+      and one float64 product per _ROW_CHUNK rows applies T to every other
+      row; the new pivot rows are T's own k x k block times them, reduced.
+      The panel's free columns are written back from W; nothing reads its
+      pivot columns again, and no back-substitution is left: A[:r] ends in
+      reduced echelon form.
 
-    FieldSpec admits only p with 128 (p-1)^2 < 2^53; for those p, 32 (p-1)^2
-    + 2p <= 2^51, so a whole panel of updates stays below top.
+    Exactness: W starts reduced and takes at most 32 updates per entry, so
+    its entries stay below p + 32 (p-1)^2.  A trailing entry is at most
+    grow, which a panel of k pivots raises by k (p-1)^2 (reduced operands,
+    k terms per sum); it is reduced when grow would pass top = 2^51 - p.
+    FieldSpec admits only p with 128 (p-1)^2 < 2^53, that is
+    32 (p-1)^2 + 2p <= 2^51, so both bounds stay below 2^51, where float64
+    holds integers exactly and _reduce is exact.
     """
     a = np.asarray(a)
     m, n = a.shape
@@ -294,119 +314,84 @@ def _rref_prime(a, p):
     if a.min() < 0 or a.max() >= p:
         a = a % p
     A = np.array(a, dtype=np.float64, order="C")
-    q = float(p)
     sq = (p - 1) ** 2
     top = _EXACT - p
 
     pivots = []
-    neg_invs = []
     r = 0
-    grow = p - 1  # bound on the entries of A[r:, c0:]
+    grow = p - 1  # bound on the entries of A outside the reduced pivot rows
     for c0 in range(0, n, _PANEL):
-        c1 = min(c0 + _PANEL, n)
-        w = c1 - c0
-        mm = m - r
-        P = np.ascontiguousarray(A[r:, c0:c1].T)
+        c1 = c0 + _PANEL
+        # a column that is zero below the pivot rows has no pivot here, and
+        # the panel leaves it as it is: it is zero in the panel's pivot rows
+        live = c0 + np.flatnonzero(A[r:, c0:c1].any(axis=0))
+        if not live.size:
+            continue
+        w = live.size
+        live = live.tolist()
+        W = np.zeros((w + min(w, m - r), m), dtype=np.int64)
+        W[:w] = A[:, live].T
         if grow >= p:
-            _reduce(P, p)
-        pc = []
+            W[:w] %= p
         swaps = []
-        k = 0
-        # P is reduced here, so one any() finds the zero columns, and they
-        # are skipped: a zero column stays zero, as swaps permute its
-        # entries and each rank-one update adds to it the pivot column times
-        # its own entry in the pivot row, which is zero.
-        for j in np.flatnonzero(P.any(axis=1)).tolist():
-            col = P[j, k:]
-            if j:
-                _reduce(col, p)
-            if col[0]:
-                i = k
-            else:
-                nz = col.nonzero()[0]
+        t = 0
+        for j in range(w):
+            col = W[j]
+            np.remainder(col, p, out=col)
+            k = r + t
+            if not col[k]:
+                nz = col[k:].nonzero()[0]
                 if not nz.size:
                     continue
                 i = k + int(nz[0])
-                swap = P[:, k].copy()
-                P[:, k] = P[:, i]
-                P[:, i] = swap
+                swap = W[:, k].copy()
+                W[:, k] = W[:, i]
+                W[:, i] = swap
                 swaps.append((k, i))
-            neg_inv = p - pow(int(P[j, k]), p - 2, p)
-            if j + 1 < w:
-                prow = _reduce(P[j + 1:, k], p)
-                if k + 1 < mm:
-                    P[j + 1:, k + 1:] += _reduce(prow * neg_inv, p)[:, None] * P[j, k + 1:]
-            pc.append(j)
-            pivots.append(c0 + j)
-            neg_invs.append(neg_inv)
-            k += 1
-            if k == mm:
+            v = int(col[k])
+            col[k] = v - 1
+            W[w + t, k] = 1
+            rows = W[j + 1:w + t + 1]
+            f = np.remainder(rows[:, k], p)
+            np.multiply(f, p - pow(v, p - 2, p), out=f)
+            np.remainder(f, p, out=f)
+            rows += f[:, None] * col
+            pivots.append(live[j])
+            t += 1
+            if r + t == m:
                 break
-        if not k:
+        if not t:
             continue
-        # Below its pivot, a pivot column still holds the reduced entries it
-        # eliminated; they stay in A under the diagonal of U, where nothing
-        # reads them.
-        A[r:r + k, :c0] = 0
-        A[r:r + k, c0:c1] = P[:, :k].T
+        A[:, live] = W[:w].T
         if c1 < n:
+            order = list(range(m))
             for i0, i1 in swaps:
-                A[[r + i0, r + i1], c1:] = A[[r + i1, r + i0], c1:]
-            # scaled, those entries are the negated multipliers
-            neg_l = _reduce(P[pc].T * np.array(neg_invs[-k:], dtype=np.float64), p)
-            # U rows: the inverse of the unit lower triangle times the rows
-            Z = _unitri_inverse(neg_l[:k] * _LOWER[:k, :k], p)
-            A[r:r + k, c1:] = _reduce(Z @ _reduce(A[r:r + k, c1:], p), p)
-            if k < mm:
-                if grow + k * sq > top:
-                    _reduce(A[r + k:, c1:], p)
-                    grow = p - 1
-                U12 = A[r:r + k, c1:]
-                for s in range(k, mm, _ROW_CHUNK):
-                    A[r + s:r + s + _ROW_CHUNK, c1:] += neg_l[s:s + _ROW_CHUNK] @ U12
-                grow += k * sq
-        r += k
+                order[i0], order[i1] = order[i1], order[i0]
+            moved = [i for i in range(r, m) if order[i] != i]
+            if moved:
+                A[moved, c1:] = A[[order[i] for i in moved], c1:]
+            T = (W[w:w + t] % p).astype(np.float64)
+            U = A[r:r + t, c1:].copy()
+            if grow >= p:
+                _reduce(U, p)
+            if grow + t * sq > top:
+                _reduce(A[:, c1:], p)
+                grow = p - 1
+            for s0, s1 in ((0, r), (r + t, m)):
+                for s in range(s0, s1, _ROW_CHUNK):
+                    e = min(s + _ROW_CHUNK, s1)
+                    A[s:e, c1:] += T[:, s:e].T @ U
+            A[r:r + t, c1:] = _reduce(T[:, r:r + t].T @ U, p)
+            grow += t * sq
+        r += t
         if r == m:
             break
-    if not pivots:
-        return np.zeros((m, n), dtype=np.int64), pivots
-    piv = np.asarray(pivots)
-    free = _free_columns(n, pivots)
-    inv = q - np.array(neg_invs, dtype=np.float64)[:, None]
-    X = _reduce(A[:r, free] * inv, p)
-    if free.size:
-        N = _reduce(A[:r, piv] * (q - inv), p)  # minus the normalized U, on pivots
-        chunk = _terms(p)
-        for i1 in range(r, 0, -_PANEL):
-            i0 = max(0, i1 - _PANEL)
-            B = X[i0:i1]
-            for s in range(i1, r, chunk):
-                B += N[i0:i1, s:s + chunk] @ X[s:s + chunk]
-                _reduce(B, p)
-            b = i1 - i0
-            W = _unitri_inverse(N[i0:i1, i0:i1] * _LOWER[:b, :b].T, p)
-            X[i0:i1] = _reduce(W @ B, p)
-    del A
     R = np.zeros((m, n), dtype=np.int64)
-    R[np.arange(r), piv] = 1
-    R[:r, free] = X
+    if r:
+        R[:r] = _reduce(A[:r], p)
+        R[:r, pivots] = 0
+        R[np.arange(r), pivots] = 1
     return R, pivots
-
-
-_LOWER = np.tri(_PANEL, k=-1)  # mask of the strict lower triangle
-
-
-def _unitri_inverse(S, p):
-    """(I - S)^-1 = (I + S)(I + S^2)(I + S^4)... for S strictly triangular
-    of size at most _PANEL with reduced entries; every product has an inner
-    dimension of at most _PANEL terms."""
-    W = S + np.eye(len(S))
-    h = 2
-    while h < len(S):
-        S = _reduce(S @ S, p)
-        W = _reduce(W + W @ S, p)
-        h *= 2
-    return W
 
 
 # -------------------------------------------------------------------- Q RREF

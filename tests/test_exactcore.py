@@ -221,28 +221,31 @@ def test_modulus_validation():
 # ------------------------------------------- GF(p) kernel against a reference
 
 def gauss_jordan_mod(rows, p):
-    """Reduced row echelon form mod p by textbook Gauss-Jordan on Python ints."""
-    a = [[x % p for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
+    """Reduced row echelon form mod p by textbook Gauss-Jordan: one pivot at
+    a time (the first nonzero entry at or below the pivot row), swap, scale,
+    eliminate from every other row, on exact int64 rows (entries below p,
+    so every product is below p^2 < 2^63)."""
+    if not rows:
+        return [], []
+    a = np.array(rows, dtype=np.int64) % p
+    m, n = a.shape
     piv = []
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c]), None)
-        if pr is None:
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(m):
-            f = a[i][c]
-            if i != r and f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pr = r + int(nz[0])
+        a[[r, pr]] = a[[pr, r]]
+        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        f = a[:, c].copy()
+        f[r] = 0
+        a = (a - np.outer(f, a[r]) % p) % p
         piv.append(c)
         r += 1
         if r == m:
             break
-    return a, piv
+    return a.tolist(), piv
 
 
 def _kernel_cases(p, rng):
@@ -276,10 +279,9 @@ def _kernel_cases(p, rng):
     rows += [list(rows[rng.randrange(30)]) for _ in range(40)]
     rng.shuffle(rows)
     cases.append(("repeated rows", rows, 70))
-    # Worst cases for the float64 bound: every product is (p-1)^2.
-    # L [U | F], L all ones below the diagonal, U unit upper with -1 above
-    # it and F all -1: the multipliers are 1 and the U rows -1 throughout,
-    # so each panel adds its full k (p-1)^2 to the trailing block.
+    # Entries of -1 throughout: L [U | F], L all ones below the diagonal, U
+    # unit upper with -1 above it and F all -1, where every multiplier of a
+    # forward elimination is 1 and every U row -1.
     r = 200
     top = [[1 if j == i else p - 1 if j > i else 0 for j in range(r)] + [p - 1] * 5
            for i in range(r)]
@@ -290,20 +292,53 @@ def _kernel_cases(p, rng):
         rows.append(acc)
     cases.append(("all-ones L times [U | -1]", rows, r + 5))
     # [U | F], U unit upper with 1 above the diagonal and F[i][j] = i + j:
-    # the reduced free columns are -1 down to the last row, so back-
-    # substitution sums products of (p-1)^2 over every later pivot row.
+    # the reduced free columns are -1 down to the last row.
     rows = [[1 if j >= i else 0 for j in range(r)] + [i + j for j in range(5)]
             for i in range(r)]
     rng.shuffle(rows)
     cases.append(("[U | F] with -1 free columns", rows, r + 5))
+    # Worst case for the Gauss-Jordan trailing update: at every panel the
+    # pivot block is the identity, the rows below it are all ones there and
+    # the pivot rows are all -1 to its right, so each panel adds 32 (p-1)^2
+    # to every trailing entry below it.  Built from the last panel back, as
+    # S_b = [[I, -1], [1, S_(b+1) - 32]], whose Schur complement is S_(b+1).
+    # The last 8 columns are free, so their echelon entries show any error.
+    rows = dense(8, 16)
+    for _ in range(5):
+        rows = ([[int(j == i) for j in range(32)] + [p - 1] * len(rows[0]) for i in range(32)]
+                + [[1] * 32 + [(x - 32) % p for x in row] for row in rows])
+    cases.append(("trailing sums of 32 (p-1)^2 over five panels", rows, len(rows[0])))
+    # panel edges: one column short of a panel, one panel, one column over,
+    # two panels and one column over, full rank and rank-deficient
+    for m, n in [(40, 31), (40, 32), (40, 33), (70, 64), (70, 65)]:
+        cases.append((f"dense {m}x{n}", dense(m, n), n))
+        cases.append((f"rank 20 of {m}x{n}", product(m, n, 20), n))
+    cases += [("1x70", dense(1, 70), 70), ("70x1", dense(70, 1), 1),
+              ("1x70 sparse", dense(1, 70, 0.05), 70)]
+    # row i is nonzero only in column i + 1 (row m - 1 in column 0), then
+    # dense columns: every pivot is the last remaining row, so every column
+    # but the last of the square part swaps, across three panels
+    m = 70
+    rows = [[rng.randrange(1, p) if j == (i + 1) % m else 0 for j in range(m)]
+            + dense(1, 30)[0] for i in range(m)]
+    cases.append(("pivot always in the last row", rows, m + 30))
+    # the short-wide and tall shapes a benchmark pass records
+    cases += [("27x114", dense(27, 114), 114), ("252x135", dense(252, 135), 135),
+              ("128x2108", dense(128, 2108), 2108),
+              # more rows below the first panel than one 512-row product takes,
+              # and pivots in the last 40 of them
+              ("600x70", product(560, 70, 10) + dense(40, 70), 70)]
+    left = np.array(dense(505, 200), dtype=np.int64)
+    right = np.array(dense(200, 1216), dtype=np.int64)
+    cases.append(("rank 200 of 505x1216", (left @ right % p).tolist(), 1216))
     return cases
 
 
 @pytest.mark.parametrize("p", [5, 7, 32003, 8388593])
 def test_prime_kernel_matches_gauss_jordan(p):
     # 8388593 is the largest prime GF accepts: (p-1)^2 fills the float64
-    # margin, so the guard that reduces the trailing block and the chunked
-    # back-substitution both run, and the worst cases would overflow without
+    # margin, so the guard that reduces the trailing block runs, and the
+    # worst case for it would lose exactness without
     fld = GF(p)
     most = 0
     for name, rows, n in _kernel_cases(p, random.Random(p)):
@@ -360,3 +395,27 @@ def test_prime_mat_mul_is_exact(p):
             want = [[sum(a[i][k] * b[k][j] for k in range(inner)) % p for j in range(cols)]
                     for i in range(rows)]
             assert got.data.tolist() == want, (inner, rows)
+
+
+_EDGES = st.sampled_from([31, 32, 33, 63, 64, 65])
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 70) | _EDGES,
+       n=st.integers(1, 70) | _EDGES,
+       density=st.sampled_from([1.0, 0.3, 0.05]), rank=st.sampled_from([None, 1, 5, 31, 33]))
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("p", [5, 8388593])
+def test_prime_kernel_property(p, seed, m, n, density, rank):
+    # random shapes on both sides of the 32-wide panel; at p = 5 many
+    # columns are dependent or need a swap, at 8388593 the products fill
+    # the float64 margin
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, (m, n)) * (rng.random((m, n)) < density)
+    if rank is not None:
+        a = rng.integers(0, p, (m, rank)) @ (a[:rank] if rank <= m else
+                                             rng.integers(0, p, (rank, n))) % p
+    rows = a.tolist()
+    want, wpiv = gauss_jordan_mod(rows, p)
+    got, piv = rref(ExactMatrix(GF(p), np.array(a, dtype=np.int64)))
+    assert list(piv) == wpiv
+    assert got.data.tolist() == want

@@ -1,11 +1,14 @@
 """The packaging metadata covers what the tests need."""
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from bigres import exactcore
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -193,3 +196,19 @@ def test_no_numpy_set_routines():
     sites = _named_in(SRC.glob("*.py"),
                       ("unique", "union1d", "intersect1d", "setdiff1d", "setxor1d"))
     assert not any(sites.values()), sites
+
+
+def test_one_elimination_kernel_without_knobs():
+    # every elimination goes through exactcore.rref (over Q through its
+    # multi-modular lift), which calls the one kernel _rref_prime(a, p);
+    # exactcore reads no environment, so no variable can select a second path
+    sites = _named_in(SRC.glob("*.py"), ("_rref_prime",))["_rref_prime"]
+    assert sites == {("exactcore", "rref"), ("exactcore", "_rref_rational")}, sites
+    assert list(inspect.signature(exactcore._rref_prime).parameters) == ["a", "p"]
+    tree = ast.parse((SRC / "exactcore.py").read_text())
+    env = [f"exactcore.py:{node.lineno}" for node in ast.walk(tree)
+           if _named(node) in ("environ", "getenv", "putenv")
+           or isinstance(node, (ast.Import, ast.ImportFrom)) and
+           "os" in {(getattr(node, "module", None) or "").split(".")[0],
+                    *(alias.name.split(".")[0] for alias in node.names)}]
+    assert not env, env

@@ -50,3 +50,16 @@ def test_dev_sign_search():
     assert lines[1] == ("  a=(+m12, -m02, +m01)  b=(+m15-m24, +m23-m05, +m04-m13)"
                         "  c=(+m45, -m35, +m34)")
     assert len(lines) == 3
+
+
+def test_rref_replay():
+    lines = run_script("rref_replay.py", "--workload", "lab-q", "--seed", "1")
+    assert lines[0] == "workload=lab-q seed=1 best of 3"
+    assert lines[1].split() == ["width", "calls", "pivots", "ms", "us/call", "us/pivot"]
+    table = {row.split()[0]: row.split()[1:] for row in lines[2:]}
+    assert list(table) == ["<=8", "<=32", "<=256", ">256", "all"]
+    calls = {name: int(cells[0]) for name, cells in table.items()}
+    pivots = {name: int(cells[1]) for name, cells in table.items()}
+    assert calls["all"] > 0 and pivots["all"] > 0
+    assert sum(calls.values()) == 2 * calls["all"]
+    assert sum(pivots.values()) == 2 * pivots["all"]
