@@ -10,8 +10,9 @@ degree-(a1,a2) strand lists s-exponent descending, then u-exponent
 descending; all matrices in the package index strands in that order, and
 so does coeff_vector, also for the (0, n) forms.
 Multiplication matrices on polynomial strands (mul_matrix) and on the
-inverse-power spaces of strands share one term kernel, _product; its index
-rule _term_rows alone maps a product term to its row.
+inverse-power spaces of strands share one term kernel, _product, which
+places several forms of one degree at once; its index rule _term_rows
+alone maps a product term to its row.
 
 Canonical text form of a polynomial: terms in basis order, each rendered as
 coeff*s^i*t^j*u^k*v^l with every variable present and "^1" omitted; the zero
@@ -200,23 +201,30 @@ def _term_rows(expts, idx, src, sign):
     return rows
 
 
-def _product(g, src, sign):
-    """Array of multiplication by g from the space src to its target, with
-    src and sign as in _term_rows."""
+def _product(forms, src, sign):
+    """Arrays of multiplication by each of the forms, all of one bidegree,
+    from the space src to its target, stacked as one (len(forms), h, n)
+    array; src and sign as in _term_rows."""
     (X, Y), (sx, sy) = src, sign
+    g = forms[0]
     tx, ty = X + sx * g.degree[0], Y + sy * g.degree[1]
-    mat = g.field.zeros((strand_dim((tx, ty)), strand_dim(src)))
-    if mat.size and g.coeffs:
-        expts = np.array(list(g.coeffs), dtype=np.int64).reshape(-1, 4)
-        coef = np.array(list(g.coeffs.values()), dtype=g.field.dtype)[:, None]
-        idx = np.arange(mat.shape[1])
-        rows = _term_rows(expts, idx, src, sign)
+    out = g.field.zeros((len(forms), strand_dim((tx, ty)), strand_dim(src)))
+    terms = [(k, e, c) for k, f in enumerate(forms) for e, c in f.coeffs.items()]
+    if out.size and terms:
+        ks, expts, coef = zip(*terms)
+        h, n = out.shape[1:]
+        idx = np.arange(n)
+        rows = _term_rows(np.array(expts, dtype=np.int64), idx, src, sign)
         ok = rows >= 0
-        # within a column a term fixes its target row, so no two terms
-        # write the same cell and assignment is exact
-        cols = np.broadcast_to(idx, ok.shape)
-        mat[rows[ok], cols[ok]] = np.broadcast_to(coef, ok.shape)[ok]
-    return mat
+        # rows becomes the flat index of each term's cell in its form's
+        # block; within a column a term of one form fixes its target row, so
+        # no two terms of a form write the same cell and assignment is exact
+        rows += np.array(ks)[:, None] * h
+        rows *= n
+        rows += idx
+        coef = np.repeat(np.array(coef, dtype=g.field.dtype), n).reshape(rows.shape)
+        out.reshape(-1)[rows[ok]] = coef[ok]
+    return out
 
 
 def mul_matrix(g, b):
@@ -227,7 +235,7 @@ def mul_matrix(g, b):
     """
     if b[0] < 0 or b[1] < 0:
         raise ValueError("source bidegree must be nonnegative")
-    return ExactMatrix(g.field, _product(g, b, (1, 1)))
+    return ExactMatrix(g.field, _product((g,), b, (1, 1))[0])
 
 
 @dataclass(eq=False)

@@ -10,8 +10,13 @@ offsets.  Elimination has one kernel, _rref_prime, and its pivoting rule
 (first nonzero entry, columns scanned left to right) makes ranks, kernels
 and reduced echelon forms bit-reproducible:
 
-* GF(p): _rref_prime is Gauss-Jordan elimination in 32-wide column
-  panels with delayed reduction.  Inside a panel each pivot is one
+* GF(p): _rref_prime is Gauss-Jordan elimination with delayed reduction,
+  on one of two paths chosen by the matrix's own size.  Up to _ONE_PASS
+  = 8192 cells, _rref_one_pass runs it in one pass over the int64
+  transpose: each pivot reduces its column and makes one rank-one update
+  of the later columns, whose entries stay below p + min(m,n) (p-1)^2 <
+  2^63 for every prime FieldSpec admits (min(m,n) <= 90 there).  Larger
+  matrices go in 32-wide column panels.  Inside a panel each pivot is one
   rank-one update of a contiguous int64 block: the panel's later columns
   and the transform that eliminates the panel, so a pivot costs O(1)
   numpy calls whatever its position.  Outside the panel that transform is
@@ -39,6 +44,7 @@ from math import isqrt
 import numpy as np
 
 DEFAULT_PRIME = 32003
+_ONE_PASS = 8192  # cells up to which _rref_prime eliminates in one pass
 _PANEL = 32
 _ROW_CHUNK = 512  # rows per trailing-update matmul; bounds its temporary
 _EXACT = 2 ** 51  # float64 is exact to 2^53; see _rref_prime for the margin
@@ -66,8 +72,9 @@ class FieldSpec:
         if self.p <= 3 or not _is_prime(self.p):
             raise ValueError(f"modulus must be a prime > 3, got {self.p}")
         # keep _rref_prime exact: 128 (p-1)^2 < 2^53, so a panel of 32
-        # updates of reduced products, 32 (p-1)^2 + 2p, stays below 2^51
-        # (see its docstring)
+        # updates of reduced products, 32 (p-1)^2 + 2p, stays below 2^51,
+        # and the at most 90 updates of the one pass below 2^53 (see the
+        # docstrings of _rref_prime and _rref_one_pass)
         if 128 * (self.p - 1) ** 2 >= 2 ** 53:
             raise ValueError(f"modulus too large for exact elimination: {self.p}")
 
@@ -271,12 +278,75 @@ def _terms(p):
     return (_EXACT - p) // (p - 1) ** 2
 
 
+def _rref_one_pass(a, p):
+    """_rref_prime of a reduced matrix of at most _ONE_PASS cells.
+
+    Gauss-Jordan elimination on W, the int64 transpose of a, one column (a
+    row of W) at a time, so a pivot costs O(1) numpy calls and no
+    transform, product or write-back is kept.  A column is reduced when it
+    is reached; its pivot row is the first nonzero at or below the pivot
+    rows, swapped into place in it and every later column.  One rank-one
+    update of the later columns, later += f (x) c, then eliminates it: f is
+    their entries in the pivot row times -1/v, v the pivot, and c the
+    column with its pivot entry replaced by v - 1.  That subtracts c_i / v
+    times the pivot row from every other row i and divides the pivot row
+    by v.  The column itself becomes the unit vector of its pivot row.  An
+    earlier column is zero below the pivot rows, so no later pivot changes
+    it, and once every column is reached W is the transposed RREF.
+
+    Exactness: f and c are reduced, so an update adds at most (p-1)^2 to an
+    entry, and an entry takes at most one update per pivot: it stays below
+    p + min(m,n) (p-1)^2.  With m n <= _ONE_PASS, min(m,n) <= 90, and
+    FieldSpec admits only p with 128 (p-1)^2 < 2^53, so the bound is below
+    2^53 < 2^63.  The product of such an entry and -1/v mod p is below
+    (min(m,n) + 1) p^3; where that is below 2^63 f takes one remainder,
+    and otherwise the entry is reduced before it is multiplied.
+    """
+    m, n = a.shape
+    W = np.array(a.T, dtype=np.int64, order="C")
+    once = (min(m, n) + 1) * p ** 3 < 2 ** 63
+    pivots = []
+    r = 0
+    for j in range(n):
+        col = W[j]
+        np.remainder(col, p, out=col)
+        if not col[r]:
+            nz = col[r:].nonzero()[0]
+            if not nz.size:
+                continue
+            i = r + int(nz[0])
+            swap = W[j:, r].copy()
+            W[j:, r] = W[j:, i]
+            W[j:, i] = swap
+        v = int(col[r])
+        rest = W[j + 1:]
+        if rest.size:
+            if once:
+                f = rest[:, r] * (p - pow(v, -1, p))
+            else:
+                f = rest[:, r] % p
+                f *= p - pow(v, -1, p)
+            f %= p
+            col[r] = v - 1
+            rest += f[:, None] * col
+        col[:] = 0
+        col[r] = 1
+        pivots.append(j)
+        r += 1
+        if r == m:
+            np.remainder(rest, p, out=rest)  # the columns not reached
+            break
+    return np.ascontiguousarray(W.T), pivots
+
+
 def _rref_prime(a, p):
     """RREF over GF(p); returns (int64 ndarray, list of pivot columns).
 
-    Gauss-Jordan elimination in column panels of width _PANEL.  The matrix
-    lives in a float64 copy A whose entries are nonnegative integers; the
-    rows found as pivots are moved to the top, in order, as they are found.
+    A matrix of at most _ONE_PASS cells is eliminated by _rref_one_pass.
+    A larger one goes by Gauss-Jordan elimination in column panels of
+    width _PANEL.  The matrix lives in a float64 copy A whose entries are
+    nonnegative integers; the rows found as pivots are moved to the top, in
+    order, as they are found.
 
     * Panel: its columns that are nonzero below the pivot rows, on all m
       rows, are copied transposed into the int64 array W, above one row per
@@ -313,6 +383,8 @@ def _rref_prime(a, p):
         return np.zeros((m, n), dtype=np.int64), []
     if a.min() < 0 or a.max() >= p:
         a = a % p
+    if m * n <= _ONE_PASS:
+        return _rref_one_pass(a, p)
     A = np.array(a, dtype=np.float64, order="C")
     sq = (p - 1) ** 2
     top = _EXACT - p
@@ -353,7 +425,7 @@ def _rref_prime(a, p):
             W[w + t, k] = 1
             rows = W[j + 1:w + t + 1]
             f = np.remainder(rows[:, k], p)
-            np.multiply(f, p - pow(v, p - 2, p), out=f)
+            np.multiply(f, p - pow(v, -1, p), out=f)
             np.remainder(f, p, out=f)
             rows += f[:, None] * col
             pivots.append(live[j])

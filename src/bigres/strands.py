@@ -91,12 +91,18 @@ class InverseStrandBasis:
         return strand_dim((self.st_deg, self.uv_order))
 
 
-def _inverse_block(f, src: InverseStrandBasis):
-    """Multiplication by f on the inverse-strand space src: the polynomial
-    factor (s,t unless src is flipped) gains the exponents of a term, the
-    inverse factor is contracted by them."""
+def _inverse_products(forms, src: InverseStrandBasis):
+    """Multiplication by each of the forms, all of one bidegree, on the
+    inverse-strand space src, as one (len(forms), h, src.dim) array: the
+    polynomial factor (s,t unless src is flipped) gains the exponents of a
+    term, the inverse factor is contracted by them."""
     sign = (-1, 1) if src.flipped else (1, -1)
-    return ExactMatrix(f.field, _product(f, (src.st_deg, src.uv_order), sign))
+    return _product(forms, (src.st_deg, src.uv_order), sign)
+
+
+def _inverse_block(f, src: InverseStrandBasis):
+    """Multiplication by the one form f on the inverse-strand space src."""
+    return ExactMatrix(f.field, _inverse_products((f,), src)[0])
 
 
 def _phi_spaces(d, a):
@@ -115,12 +121,15 @@ def phi_matrices(sys, a):
 
     phi1 acts on st-polynomials of degree a1-3d1 tensored with inverse uv
     powers of order 3d2-a2-2; phi2 mirrors the two factors.  Empty strands
-    give 0xk matrices, which count as full rank.
+    give 0xk matrices, which count as full rank.  The three blocks of a
+    phi are placed at once, and an empty phi builds none.
     """
-    return tuple(mat_from_blocks(sys.field, [tgt.dim] * 3, [src.dim],
-                                 {(k, 0): _inverse_block(f, src).data
-                                  for k, f in enumerate(sys.polys)})
-                 for src, tgt in _phi_spaces(sys.d, a))
+    out = []
+    for src, tgt in _phi_spaces(sys.d, a):
+        blocks = _inverse_products(sys.polys, src) if src.dim and tgt.dim else ()
+        out.append(mat_from_blocks(sys.field, [tgt.dim] * 3, [src.dim],
+                                   {(k, 0): blk for k, blk in enumerate(blocks)}))
+    return tuple(out)
 
 
 def _full_rank_h1(d, a):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bigres import exactcore
 from bigres.exactcore import (GF, QQ, DEFAULT_PRIME, ExactMatrix, kernel_data, lift_primes,
                               mat_from_blocks, mat_mul, mat_rank, rref)
 
@@ -331,6 +332,22 @@ def _kernel_cases(p, rng):
     left = np.array(dense(505, 200), dtype=np.int64)
     right = np.array(dense(200, 1216), dtype=np.int64)
     cases.append(("rank 200 of 505x1216", (left @ right % p).tolist(), 1216))
+    # the one-pass threshold of 8192 cells: at it and one column over, and
+    # the squarest shape under it, where the one-pass bound is largest (the
+    # 1 x 8192 shapes, whose kernels fill 8192 x 8191, are tested apart)
+    for m, n in [(64, 128), (64, 129), (90, 91)]:
+        cases.append((f"dense {m}x{n}", dense(m, n), n))
+    # Worst case for int64 growth in the one pass: row 0 is zero and row
+    # i > 0 is -(c + 1) at column c < i - 1 and 2 - i from there on.  At
+    # pivot t the zero row sits in the pivot position and the pivot, 1, one
+    # row below, so every column swaps; the pivot row is 1 on every later
+    # column, so every multiplier is p - 1, and the column is -1 on the rows
+    # below, so each pivot adds (p-1)^2 to every later entry there.  The row
+    # of the last pivot reaches it holding 88 (p-1)^2, and its multipliers
+    # need two remainders at p = 8388593: 89 p^3 > 2^63.
+    rows = [[0] * 91] + [[-(c + 1) % p if c + 1 < i else (2 - i) % p for c in range(91)]
+                         for i in range(1, 90)]
+    cases.append(("one pass: every multiplier p - 1, every column swaps", rows, 91))
     return cases
 
 
@@ -358,6 +375,20 @@ def test_prime_kernel_matches_gauss_jordan(p):
         assert k.data.tolist() == expect, name
         most = max(most, len(wpiv))
     assert most > 128
+
+
+@pytest.mark.parametrize("p", [5, 8388593])
+@pytest.mark.parametrize("m, n", [(1, 8192), (1, 8193), (8192, 1), (8193, 1)])
+def test_prime_rref_one_pass_threshold_lines(p, m, n):
+    # one row or column at the threshold of 8192 cells and one cell over it;
+    # a zero first entry makes the single pivot look further along
+    rng = random.Random(m + n + p)
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    rows[0][0] = 0
+    want, wpiv = gauss_jordan_mod(rows, p)
+    got, piv = rref(ExactMatrix(GF(p), np.array(rows, dtype=np.int64)))
+    assert list(piv) == wpiv
+    assert got.data.tolist() == want
 
 
 def test_prime_rref_reduces_raw_entries():
@@ -397,18 +428,30 @@ def test_prime_mat_mul_is_exact(p):
             assert got.data.tolist() == want, (inner, rows)
 
 
-_EDGES = st.sampled_from([31, 32, 33, 63, 64, 65])
+@st.composite
+def _kernel_shapes(draw):
+    """(m, n) on either side of the one-pass threshold of _ONE_PASS cells:
+    one side from 1 to 130, the panel edges 31-33 and 63-65 sampled, and
+    the other up to the threshold, the threshold itself sampled, or past it."""
+    a = draw(st.integers(1, 130) | st.sampled_from([31, 32, 33, 63, 64, 65]))
+    top = exactcore._ONE_PASS // a
+    if draw(st.booleans()):
+        b = draw(st.integers(1, min(top, 130)) | st.just(top))
+    else:
+        b = draw(st.integers(top + 1, top + 70))
+    return (a, b) if draw(st.booleans()) else (b, a)
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 70) | _EDGES,
-       n=st.integers(1, 70) | _EDGES,
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=_kernel_shapes(),
        density=st.sampled_from([1.0, 0.3, 0.05]), rank=st.sampled_from([None, 1, 5, 31, 33]))
 @settings(max_examples=60, deadline=None)
 @pytest.mark.parametrize("p", [5, 8388593])
-def test_prime_kernel_property(p, seed, m, n, density, rank):
-    # random shapes on both sides of the 32-wide panel; at p = 5 many
-    # columns are dependent or need a swap, at 8388593 the products fill
-    # the float64 margin
+def test_prime_kernel_property(p, seed, shape, density, rank):
+    # random shapes on both sides of the one-pass threshold and of the
+    # 32-wide panel; at p = 5 many columns are dependent or need a swap, at
+    # 8388593 the products fill the float64 margin and the one-pass
+    # multipliers take two remainders
+    m, n = shape
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, (m, n)) * (rng.random((m, n)) < density)
     if rank is not None:

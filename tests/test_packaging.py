@@ -201,11 +201,21 @@ def test_no_numpy_set_routines():
 def test_one_elimination_kernel_without_knobs():
     # every elimination goes through exactcore.rref (over Q through its
     # multi-modular lift), which calls the one kernel _rref_prime(a, p);
-    # exactcore reads no environment, so no variable can select a second path
-    sites = _named_in(SRC.glob("*.py"), ("_rref_prime",))["_rref_prime"]
-    assert sites == {("exactcore", "rref"), ("exactcore", "_rref_rational")}, sites
+    # only the kernel picks its one-pass path, by the matrix's size against
+    # one constant that nothing else reads, and exactcore reads no
+    # environment, so no variable can select a path
+    sites = _named_in(SRC.glob("*.py"), ("_rref_prime", "_rref_one_pass"))
+    assert sites["_rref_prime"] == {("exactcore", "rref"), ("exactcore", "_rref_rational")}, sites
+    assert sites["_rref_one_pass"] == {("exactcore", "_rref_prime")}, sites
     assert list(inspect.signature(exactcore._rref_prime).parameters) == ["a", "p"]
     tree = ast.parse((SRC / "exactcore.py").read_text())
+    assert [node.value.value for node in tree.body if isinstance(node, ast.Assign)
+            and [_named(t) for t in node.targets] == ["_ONE_PASS"]] == [8192]
+    reads = {(path.stem, getattr(top, "name", None))
+             for path, tree_ in _trees([*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+             for top in tree_.body for node in ast.walk(top)
+             if _named(node) == "_ONE_PASS" and isinstance(node.ctx, ast.Load)}
+    assert reads == {("exactcore", "_rref_prime")}, reads
     env = [f"exactcore.py:{node.lineno}" for node in ast.walk(tree)
            if _named(node) in ("environ", "getenv", "putenv")
            or isinstance(node, (ast.Import, ast.ImportFrom)) and

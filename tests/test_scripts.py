@@ -53,13 +53,16 @@ def test_dev_sign_search():
 
 
 def test_rref_replay():
-    lines = run_script("rref_replay.py", "--workload", "lab-q", "--seed", "1")
-    assert lines[0] == "workload=lab-q seed=1 best of 3"
-    assert lines[1].split() == ["width", "calls", "pivots", "ms", "us/call", "us/pivot"]
+    # tor-1-42 has matrices on both sides of the one-pass threshold
+    lines = run_script("rref_replay.py", "--workload", "tor-1-42", "--seed", "1")
+    assert lines[0] == "workload=tor-1-42 seed=1 best of 3"
+    assert lines[1].split() == ["class", "calls", "pivots", "ms", "us/call", "us/pivot"]
     table = {row.split()[0]: row.split()[1:] for row in lines[2:]}
-    assert list(table) == ["<=8", "<=32", "<=256", ">256", "all"]
+    widths, paths = ["<=8", "<=32", "<=256", ">256"], ["one-pass", "panels"]
+    assert list(table) == widths + paths + ["all"]
     calls = {name: int(cells[0]) for name, cells in table.items()}
     pivots = {name: int(cells[1]) for name, cells in table.items()}
-    assert calls["all"] > 0 and pivots["all"] > 0
-    assert sum(calls.values()) == 2 * calls["all"]
-    assert sum(pivots.values()) == 2 * pivots["all"]
+    assert all(calls[name] > 0 and pivots[name] > 0 for name in paths)
+    for split in (widths, paths):
+        assert sum(calls[name] for name in split) == calls["all"]
+        assert sum(pivots[name] for name in split) == pivots["all"]

@@ -88,6 +88,31 @@ def test_phi_blocks_prime_field_match_rationals(d):
                         (action.__name__, a1, a2, xi)
 
 
+@pytest.mark.parametrize("fld", [GF(32003), GF(5), QQ], ids=["GF32003", "GF5", "QQ"])
+@pytest.mark.parametrize("d", [(1, 2), (2, 1)])
+def test_phi_matrices_stack_per_form_blocks(d, fld):
+    # phi_matrices places the blocks of the three forms in one call; each
+    # phi must equal the per-form blocks of the oracle (one term and one
+    # column at a time) stacked by mat_from_blocks, block for block.  The
+    # (3d1+3, 3d2+3) box holds empty and nonempty spaces of both phi, the
+    # flipped ones of phi2 included; over Q every entry is a Fraction
+    sys_ = random_system(fld, d, random.Random(3 * d[0] + d[1]))
+    scalar = int if fld.is_prime_field else Fraction
+    seen = set()
+    for a1 in range(3 * d[0] + 4):
+        for a2 in range(3 * d[1] + 4):
+            for phi, (src, tgt) in zip(phi_matrices(sys_, (a1, a2)), _phi_spaces(d, (a1, a2))):
+                want = mat_from_blocks(fld, [tgt.dim] * 3, [src.dim],
+                                       {(k, 0): inverse_block_oracle(f, src).data
+                                        for k, f in enumerate(sys_.polys)})
+                assert phi.data.dtype == fld.dtype, (a1, a2)
+                assert phi.data.shape == want.data.shape, (a1, a2)
+                assert phi.data.tolist() == want.data.tolist(), (a1, a2)
+                assert all(type(x) is scalar for row in phi.data.tolist() for x in row)
+                seen.add((src.flipped, bool(phi.data.size)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 @pytest.mark.parametrize("fld", [GF(), QQ], ids=["GF", "QQ"])
 def test_builders_return_field_dtype(fld):
     # one representation: every builder hands back a 2-D ndarray of the
